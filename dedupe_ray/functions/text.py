@@ -42,7 +42,6 @@ _RE_DROP = re.compile(
 )
 _RE_BLOCK = re.compile(rf"</?(?:{BLOCK_TAGS})\b[^>]*/?>", re.IGNORECASE)
 _RE_TAG = re.compile(r"<[^>]*>")
-_RE_WS = re.compile(r"\s+")
 _RE_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -53,12 +52,8 @@ def extract_text(html_bytes: bytes | str) -> str:
     s = _RE_BLOCK.sub("\n", s)
     s = _RE_TAG.sub("", s)
     s = _html.unescape(s)
-    lines = []
-    for line in s.split("\n"):
-        line = _RE_WS.sub(" ", line).strip()
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+    # step 5, exact: ``\s`` in ``re`` on str matches where str.isspace() holds
+    return "\n".join(filter(None, map(" ".join, map(str.split, s.split("\n")))))
 
 
 def extract_text_batch(payloads) -> list[str]:
@@ -66,8 +61,7 @@ def extract_text_batch(payloads) -> list[str]:
 
     A per-record parser is inherently a Python-level loop (like the
     reference's one-image-at-a-time decode, /root/reference/dedupe.go:54-63);
-    the regexes are compiled once at module import so per-call cost is the
-    C regex engine only.
+    each record costs three regex passes, unescape and split/join, all in C.
     """
     return [extract_text(p) for p in payloads]
 
@@ -80,6 +74,18 @@ _ASCII_KEEP = str.maketrans(
 )
 
 
+def _alnum_runs(low: str) -> list[str]:
+    r"""``_RE_TOKEN.findall(low)``, the regex run only on words that are not
+    all alnum: ``[^\W_]`` matches exactly where ``str.isalnum()`` holds."""
+    out: list[str] = []
+    for w in low.split():
+        if w.isalnum():
+            out.append(w)
+        else:
+            out += _RE_TOKEN.findall(w)
+    return out
+
+
 def normalize_tokens(text: str) -> list[str]:
     """Lowercased word tokens of ``text`` — the canonical feature space for
     signatures (the analog of resize-to-fixed-grid before hashing,
@@ -87,7 +93,7 @@ def normalize_tokens(text: str) -> list[str]:
     low = text.lower()
     if low.isascii():
         return low.translate(_ASCII_KEEP).split()
-    return _RE_TOKEN.findall(low)
+    return _alnum_runs(low)
 
 
 def char_tokens(text: str) -> list[str]:
@@ -98,7 +104,7 @@ def char_tokens(text: str) -> list[str]:
     low = text.lower()
     if low.isascii():
         return list(" ".join(low.translate(_ASCII_KEEP).split()))
-    return list(" ".join(_RE_TOKEN.findall(low)))
+    return list(" ".join(_alnum_runs(low)))
 
 
 # BPE-ish token pattern — RE2-safe (no lookahead) so Arrow's

@@ -77,15 +77,13 @@ def canonicalize_urls(url: pa.Array | pa.ChunkedArray) -> pa.Array:
     vals, par = vals[o], par[o]
     counts = np.bincount(par, minlength=len(url)).astype(np.int64)
     cum = np.r_[0, np.cumsum(counts)]
-    kept = pa.array(vals.tolist(), pa.string())
-    # int32 ListArray offsets overflow when a batch's total surviving param
-    # count exceeds 2^31 (ADVICE r4) — switch to int64 LargeListArray offsets
-    # above that bound; binary_join accepts both layouts
-    if cum[-1] <= _I32_OFFSET_MAX:
-        plist = pa.ListArray.from_arrays(pa.array(cum, pa.int32()), kept)
-    else:
-        plist = pa.LargeListArray.from_arrays(pa.array(cum, pa.int64()), kept)
-    canon_q = pc.binary_join(plist, "&")
+    # int32 offsets overflow past 2^31 surviving params per batch (ADVICE r4):
+    # above that, list AND string values take int64 offsets. A joined query
+    # is never longer than its url, so it fits the url's type.
+    list_cls, off_t, val_t = ((pa.ListArray, pa.int32(), pa.string()) if cum[-1] <= _I32_OFFSET_MAX
+                              else (pa.LargeListArray, pa.int64(), pa.large_string()))
+    plist = list_cls.from_arrays(pa.array(cum, off_t), pa.array(vals.tolist(), val_t))
+    canon_q = pc.binary_join(plist, pa.scalar("&", val_t)).cast(url.type)
     qpart = pc.if_else(
         pc.equal(canon_q, ""),
         pa.scalar(""),

@@ -28,7 +28,7 @@ def _input_fingerprint(paths: Sequence[str]) -> str:
     h = hashlib.sha256()
     for p in sorted(paths):
         st = os.stat(p)
-        h.update(f"{p}:{st.st_size}:{int(st.st_mtime)}".encode())
+        h.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
     return h.hexdigest()[:16]
 
 

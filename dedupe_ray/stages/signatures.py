@@ -15,15 +15,25 @@ Output columns:
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pyarrow as pa
 
 from dedupe_ray.config import NearDupConfig
-from dedupe_ray.functions.hashing import hash_tokens, shingle_hashes
+from dedupe_ray.functions.hashing import hash_token, shingle_hashes_flat
 from dedupe_ray.functions.minhash import MinHasher
 from dedupe_ray.functions.simhash import simhash_from_flat
 
 __all__ = ["SignatureStage"]
+
+
+class _TokenHashMemo(dict):
+    """token → ``hash_token(token)``; a miss hashes and stores the token."""
+
+    def __missing__(self, token: str) -> int:
+        h = self[token] = hash_token(token)
+        return h
 
 
 class SignatureStage:
@@ -37,7 +47,7 @@ class SignatureStage:
         mh = self.config.minhash
         self.minhasher = MinHasher(mh.num_perms, mh.shingle_size, mh.seed,
                                    getattr(mh, 'scheme', 'kperm'))
-        self.token_cache: dict[str, int] = {}
+        self.token_cache = _TokenHashMemo()
         self.simhash_k = self.config.simhash.shingle_size
         # feature-space variant (M4 registry): "word" is the pinned default;
         # "char"/"bpe" swap the tokenizer, changing every signature
@@ -52,33 +62,18 @@ class SignatureStage:
 
     def _shingles_flat(self, texts: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         """Tokenize per doc (C fast path), hash tokens through the per-actor
-        memo dict, then one global sliding-window shingle pass.
+        memo, then one global sliding-window shingle pass.
 
-        The dict memo beats the earlier np.unique de-dup pass ~4× on Zipfian
-        batches: np.unique must SORT the batch's fixed-width unicode tokens
-        (~0.26 s per 580k tokens) while dict lookups on interned strings are
-        ~0.07 s — and blake2b only ever runs once per DISTINCT token either
-        way (r4 measurement, BASELINE.md)."""
-        from dedupe_ray.functions.hashing import hash_token, shingle_hashes_flat
-
+        ``map`` over the memo's ``__getitem__`` runs no Python bytecode per
+        hit; blake2b runs once per DISTINCT token, in ``__missing__``. (An
+        np.unique de-dup must SORT the batch's tokens: ~0.26 s per 580k, r4.)"""
         token_lists = [self.tokenize(t or "") for t in texts]
-        lens = np.fromiter((len(t) for t in token_lists), dtype=np.int64, count=len(token_lists))
-        total = int(lens.sum())
+        lens = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
         cache = self.token_cache
         if len(cache) > self._CACHE_MAX:
             cache.clear()
-        cache_get = cache.get
-
-        def _hashes():
-            for tl in token_lists:
-                for t in tl:
-                    h = cache_get(t)
-                    if h is None:
-                        h = hash_token(t)
-                        cache[t] = h
-                    yield h
-
-        flat_tok = np.fromiter(_hashes(), dtype=np.uint64, count=total)
+        flat_tok = np.fromiter(map(cache.__getitem__, chain.from_iterable(token_lists)),
+                               dtype=np.uint64, count=int(lens.sum()))
         return shingle_hashes_flat(flat_tok, lens, k)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

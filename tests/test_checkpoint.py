@@ -123,6 +123,19 @@ def test_expand_no_recursive_prunes_subdirs(tmp_path):
     assert deep == [str(top)]  # dir passed to the reader's recursive walk
 
 
+def test_input_fingerprint_sees_same_second_same_size_rewrite(tmp_path):
+    from dedupe_ray.pipelines.runner import _input_fingerprint
+
+    f = tmp_path / "pages.parquet"
+    f.write_bytes(b"a" * 64)
+    ns = 1_700_000_000_000_000_000
+    os.utime(f, ns=(ns, ns))
+    before = _input_fingerprint([str(f)])
+    f.write_bytes(b"b" * 64)  # same size, rewritten 1 ns later
+    os.utime(f, ns=(ns + 1, ns + 1))
+    assert _input_fingerprint([str(f)]) != before
+
+
 def test_band_index_persist_and_match_without_reextraction(
     ray_session, pages_parquet, tmp_path
 ):

@@ -307,6 +307,58 @@ class TestShingleFlatEquivalence:
             )
 
 
+class TestTokenHashMemo:
+    @staticmethod
+    def _batches(n_batches=3, docs=40, seed=5):
+        import pyarrow as pa
+
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(150)] + ["café", "naïve", "中文", "x©y"]
+        return [
+            pa.table({"text": [" ".join(rng.choice(vocab, size=int(rng.integers(0, 30))))
+                               for _ in range(docs)]})
+            for _ in range(n_batches)
+        ]
+
+    def test_hash_token_runs_once_per_distinct_token(self, monkeypatch):
+        from collections import Counter
+
+        from dedupe_ray.config import NearDupConfig
+        from dedupe_ray.functions.text import normalize_tokens
+        from dedupe_ray.stages import signatures
+
+        calls = Counter()
+        real = signatures.hash_token
+
+        def counting(tok):
+            calls[tok] += 1
+            return real(tok)
+
+        monkeypatch.setattr(signatures, "hash_token", counting)
+        stage = signatures.SignatureStage(NearDupConfig())
+        batches = self._batches()
+        for b in batches:
+            stage(b)
+        distinct = {t for b in batches for d in b.column("text").to_pylist()
+                    for t in normalize_tokens(d)}
+        assert set(calls) == distinct and set(calls.values()) == {1}
+
+    def test_cache_clear_keeps_signatures(self, monkeypatch):
+        from dedupe_ray.config import NearDupConfig
+        from dedupe_ray.functions.text import normalize_tokens
+        from dedupe_ray.stages.signatures import SignatureStage
+
+        batches = self._batches()
+        want = [SignatureStage(NearDupConfig())(b).column("minhash") for b in batches]
+        monkeypatch.setattr(SignatureStage, "_CACHE_MAX", 10)
+        stage = SignatureStage(NearDupConfig())
+        for b, w in zip(batches, want):
+            assert stage(b).column("minhash").equals(w)
+            # every batch after the first starts from a cleared memo
+            assert set(stage.token_cache) == {
+                t for d in b.column("text").to_pylist() for t in normalize_tokens(d)}
+
+
 class TestFeatureSpaces:
     def test_registry_variants_match_scalar_path(self):
         """Each feature-space variant (M4 registry) drives the stage through
@@ -636,7 +688,17 @@ class TestUrlnormLargeOffsets:
              None, "plain"],
             pa.string(),
         )
-        want = urlnorm.canonicalize_urls(urls).to_pylist()
+        want = urlnorm.canonicalize_urls(urls)
         monkeypatch.setattr(urlnorm, "_I32_OFFSET_MAX", 0)
-        got = urlnorm.canonicalize_urls(urls).to_pylist()
-        assert got == want
+        joined = []
+        real_join = urlnorm.pc.binary_join
+
+        def spy(lists, sep):
+            joined.append(lists.type)
+            return real_join(lists, sep)
+
+        monkeypatch.setattr(urlnorm.pc, "binary_join", spy)
+        got = urlnorm.canonicalize_urls(urls)
+        # int64 offsets for the list AND its string values
+        assert joined == [pa.large_list(pa.large_string())]
+        assert got.equals(want)
