@@ -100,6 +100,32 @@ def _config(args) -> NearDupConfig:
     return cfg
 
 
+def _dup_cluster_rows(assignment_dir: str, members: bool):
+    """Rows of the assignment in a duplicate cluster (``members=True``) or
+    in a singleton cluster (``False``), and the number of duplicate
+    clusters. The duplicate cluster ids (bounded by the dup set) are
+    broadcast once."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    ds = ray.data.read_parquet(assignment_dir)
+    dup = ds.map_batches(
+        lambda b: b.filter(pc.not_equal(b.column("cluster_id"), b.column("doc_id"))),
+        batch_format="pyarrow",
+    )
+    dup_cids = np.sort(np.asarray(dup.unique("cluster_id"), dtype=np.int64))
+    cid_ref = ray.put(dup_cids)
+
+    def _select(b: pa.Table) -> pa.Table:
+        hit = np.isin(b.column("cluster_id").to_numpy(zero_copy_only=False), ray.get(cid_ref))
+        return b.filter(pa.array(hit == members))
+
+    return ds.map_batches(_select, batch_format="pyarrow"), len(dup_cids)
+
+
 def cmd_dedup(args) -> int:
     from dedupe_ray.pipelines.runner import run_neardup_checkpointed
 
@@ -123,32 +149,9 @@ def cmd_dedup(args) -> int:
         # the reference's -delete-all: drop EVERY member of every duplicate
         # cluster, canonical included; survivors are singletons only
         # (/root/reference/cmd/dedupe/main.go:226-236)
-        import numpy as np
-        import pyarrow as _pa
-        import pyarrow.compute as pc
-        import ray as _ray
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{args.output}/assignment")
-        dup = ds.map_batches(
-            lambda b: b.filter(pc.not_equal(b.column("cluster_id"), b.column("doc_id"))),
-            batch_format="pyarrow",
-        )
-        dup_cids = np.sort(np.asarray(dup.unique("cluster_id"), dtype=np.int64))
-        cid_ref = _ray.put(dup_cids)
-
-        def _singletons(b):
-            cids = _ray.get(cid_ref)
-            mask = ~np.isin(b.column("cluster_id").to_numpy(zero_copy_only=False), cids)
-            return b.filter(_pa.array(mask))
-
-        ds.map_batches(_singletons, batch_format="pyarrow").write_parquet(
-            _fresh_dir(f"{args.output}/survivors")
-        )
-        metrics["survivors"] = {
-            "path": f"{args.output}/survivors",
-            "dropped_clusters": int(len(dup_cids)),
-        }
+        singletons, n_dup = _dup_cluster_rows(f"{args.output}/assignment", members=False)
+        singletons.write_parquet(_fresh_dir(f"{args.output}/survivors"))
+        metrics["survivors"] = {"path": f"{args.output}/survivors", "dropped_clusters": n_dup}
     elif args.keep_canonical_only:
         # the -delete analog: materialize survivors only (keep the canonical
         # member of each cluster, /root/reference/cmd/dedupe/main.go:226-236)
@@ -166,32 +169,11 @@ def cmd_dedup(args) -> int:
         # cmd/dedupe/main.go:208-216): materialize duplicate-cluster members
         # into one directory per cluster. Only DUP clusters are written
         # (bounded set), mirroring the reference's group<i>/ directories.
-        import pyarrow.compute as pc
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{args.output}/assignment")
-        dup = ds.map_batches(
-            lambda b: b.filter(pc.not_equal(b.column("cluster_id"), b.column("doc_id"))),
-            batch_format="pyarrow",
-        )
-        import numpy as np
-        import ray as _ray
-
-        dup_cids = np.sort(np.asarray(dup.unique("cluster_id"), dtype=np.int64))
-        cid_ref = _ray.put(dup_cids)
-
-        def _members(b):
-            cids = _ray.get(cid_ref)
-            mask = np.isin(b.column("cluster_id").to_numpy(zero_copy_only=False), cids)
-            import pyarrow as _pa
-
-            return b.filter(_pa.array(mask))
-
-        members = ds.map_batches(_members, batch_format="pyarrow")
+        members, n_dup = _dup_cluster_rows(f"{args.output}/assignment", members=True)
         members.write_parquet(
             _fresh_dir(f"{args.output}/groups"), partition_cols=["cluster_id"]
         )
-        metrics["groups_dir"] = {"path": f"{args.output}/groups", "clusters": int(len(dup_cids))}
+        metrics["groups_dir"] = {"path": f"{args.output}/groups", "clusters": n_dup}
     if args.write_groups_csv:
         # the reference's CSV sink: one row per duplicate group
         # (/root/reference/cmd/dedupe/main.go:194-206) — cluster_id, n, urls…
@@ -241,34 +223,27 @@ def cmd_compare(args) -> int:
         target = hit[0]["text"]
     out = compare(sigs, target, cfg)
     for batch in out.select_columns(["url", "score"]).iter_batches(
-        batch_size=10_000, batch_format="pandas"
+        batch_size=10_000, batch_format="pyarrow"
     ):
-        for _, row in batch.iterrows():
-            print(f"{row['url']}\t{row['score']:.4f}")
+        for url, score in zip(batch.column("url").to_pylist(),
+                              batch.column("score").to_pylist()):
+            print(f"{url}\t{score:.4f}")
     return 0
 
 
 def cmd_index(args) -> int:
     """Build (or resume) the persisted LSH band index for a corpus — the
     durable half of incremental matching."""
-    import hashlib
-    import os
-
     from dedupe_ray.pipelines.incremental import build_band_index
+    from dedupe_ray.pipelines.runner import _input_fingerprint
     from dedupe_ray.sources import read_pages
 
     _init_ray(args.num_cpus)
     cfg = _config(args)
     paths = _expand(args.input, recursive=not args.no_recursive)
-    stat_parts = []
-    for p in paths:
-        st = os.stat(p)
-        stat_parts.append(f"{p}:{st.st_size}:{int(st.st_mtime)}")
-    fingerprint = hashlib.sha256("|".join(stat_parts).encode()).hexdigest()[:16]
-    corpus = read_pages(paths)
     metrics = build_band_index(
-        corpus, args.index_dir, cfg, extract=not args.no_extract,
-        input_fingerprint=fingerprint,
+        read_pages(paths), args.index_dir, cfg, extract=not args.no_extract,
+        input_fingerprint=_input_fingerprint(paths),
     )
     print(json.dumps(metrics, indent=2))
     return 0

@@ -1,32 +1,45 @@
 """The flagship pipeline: pages → near-duplicate clusters (SURVEY.md §3.4).
 
-    read_parquet(pages)                              url warc_ts html text lang
-      → map_batches(extract+sign, fused)             html → text (+doc_id),
-                                                     +simhash / +minhash
-      → band emission (vectorized map_batches)       ×B (band_key, doc_id)
-      → candidate_edges   [shuffle: sort band_key]   (src, dst) candidates
-      → verification                                 exact metric ≥ threshold:
-           driver path: slim broadcast slice, vectorized numpy (small edges)
-           distributed: dedupe_edges sort + verify_edges broadcast, or
-                        verify_edges_join (2 hash joins) for huge slices
-      → connected_components                         driver union-find or
-                                                     large/small-star rounds
-      → assign + canonical                           pages_out
+One stage list, one plain function per stage. ``near_duplicates`` (both
+modes) and the checkpointed runner (``pipelines/runner.py``: checkpoints
+``signatures``, ``edges`` = steps 2-3 via ``match_edges``, ``clusters``,
+``assignment``) call the same functions:
+
+    1. sign         signatures_dataset   pages → + text, doc_id, simhash or
+                                         minhash (one fused map_batches)
+    2. band+cands   band_candidates      ×B (band_key, doc_id) rows, one sort
+                                         on band_key → (src, dst) candidates
+    3. verify       verified_edges       distinct candidates, exact metric ≥
+                                         threshold → (src, dst, score)
+    4. cluster      cluster_edges        connected components: driver
+                                         union-find or star contraction
+    5. stamp        assign_clusters      cluster_id + is_canonical per page:
+                                         one broadcast map, or a doc_id /
+                                         cluster_id sort-merge join when the
+                                         cluster map is too big to broadcast
+
+``near_duplicates(mode="driver")`` — the small-candidate fast path — runs
+steps 3-4 and the canonical pick on the driver over one slim filtered slice
+of the signatures, then stamps with the same broadcast map. Every path picks
+canonicals with ``stages.clustering.canonical_members`` and looks cluster
+ids up with ``stages.clustering.cluster_lookup``.
 
 The corpus streams through map_batches stages; the only all-to-all exchange
 of corpus-sized data is the band-key sort (16-byte rows × B). Everything
 downstream operates on the candidate/duplicate subset.
 
-Equivalent reference flow: ``Duplicates``, /root/reference/dedupe.go:101-123
-(hash → VP-tree build → greedy radius scan → groups), upgraded to true
-transitive components with deterministic canonical selection
-(min ``(warc_ts, url)`` per cluster — the "first member survives" policy of
-``-delete``, /root/reference/cmd/dedupe/main.go:228-230, made order-free).
+Equivalent reference flow: ``Duplicates`` (reference ``dedupe.go:101-123``:
+hash → VP-tree build → greedy radius scan → groups), upgraded to true
+transitive components with one deterministic canonical order: min
+``(warc_ts, url, doc_id)`` per cluster, nulls last — the "first member
+survives" policy of ``-delete`` (``cmd/dedupe/main.go:228-230``) made
+order-free.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -36,26 +49,50 @@ import ray.data
 
 from dedupe_ray.config import NearDupConfig, SimHashConfig
 from dedupe_ray.stages.banding import band_emitter
-from dedupe_ray.stages.candidates import candidate_edges, dedupe_edges, verify_edges
-from dedupe_ray.stages.clustering import connected_components
+from dedupe_ray.stages.candidates import (
+    _EMPTY_PAIRS, _distinct_pairs, candidate_edges, dedupe_edges, verify_edges,
+)
+from dedupe_ray.stages.clustering import (
+    canonical_members, cluster_lookup, connected_components, id_map, union_find_local,
+)
 from dedupe_ray.stages.extract import ExtractText
+from dedupe_ray.stages.groupapply import sorted_group_apply
 from dedupe_ray.stages.signatures import SignatureStage
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["signatures_dataset", "match_edges", "near_duplicates", "assign_clusters"]
+__all__ = [
+    "signatures_dataset", "band_candidates", "verified_edges", "cluster_edges",
+    "assign_clusters", "match_edges", "near_duplicates",
+]
+
+# output of the stamp: these columns (where the input has them), then any
+# caller keep_columns
+_OUT_COLUMNS = ["url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
+_EMPTY_CLUSTERS = pa.table({"doc_id": pa.array([], pa.int64()),
+                            "cluster_id": pa.array([], pa.int64())})
+_EMPTY_CANON = pa.table({"cluster_id": pa.array([], pa.int64()),
+                         "canonical_doc_id": pa.array([], pa.int64())})
+_EMPTY_OUTPUT = pa.table({
+    "url": pa.nulls(0, pa.string()),
+    "warc_ts": pa.nulls(0, pa.timestamp("us")),
+    "lang": pa.nulls(0, pa.string()),
+    "doc_id": pa.nulls(0, pa.int64()),
+    "cluster_id": pa.nulls(0, pa.int64()),
+    "is_canonical": pa.nulls(0, pa.bool_()),
+})
 
 
-def default_pool_size(cap: int = 16) -> int:
-    """Actor-pool size from the cluster's CPU count — used when adding
-    actor-pool stages (model inference, media decode): leave headroom so the
-    pool doesn't starve the read/write stages."""
-    try:
-        n = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:  # not initialized yet — caller owns the session
-        n = 4
-    return max(2, min(n - 1, cap))
+def _collect(ds: "ray.data.Dataset", empty: pa.Table) -> pa.Table:
+    """A (small) dataset gathered on the driver as one table."""
+    return pa.concat_tables(
+        list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")) or [empty]
+    )
 
+
+# ---------------------------------------------------------------------------
+# 1. sign
+# ---------------------------------------------------------------------------
 
 # Per-WORKER-PROCESS stage cache. The extract+signature stage runs as plain
 # tasks (Ray's prestarted worker pool → full parallelism from the first
@@ -96,13 +133,16 @@ def signatures_dataset(
     DataContext.target_max_block_size anyway).
     """
     config = config or NearDupConfig()
-    from functools import partial
-
     return pages.map_batches(
         partial(_extract_and_sign, config=config, extract=extract),
         batch_format="pyarrow",
         batch_size=None,
     )
+
+
+# ---------------------------------------------------------------------------
+# 2. band + candidates, 3. verify, 4. cluster
+# ---------------------------------------------------------------------------
 
 
 def band_bundle_size(n_rows: int) -> int:
@@ -117,41 +157,119 @@ def band_bundle_size(n_rows: int) -> int:
     return max(4096, n_rows // max(8, 2 * min(cluster_cpus(), 32)))
 
 
+def band_candidates(
+    signatures: "ray.data.Dataset", config: NearDupConfig, n_rows: int
+) -> "ray.data.Dataset":
+    """signatures → candidate (src, dst) pairs, src < dst. Materialized.
+
+    ``n_rows`` (the signature count) sizes the band bundles; the candidate
+    list is small and feeds both the path choice (its count) and the
+    dedupe/verify pass."""
+    banded = signatures.map_batches(
+        band_emitter(config.signature()), batch_format="pyarrow",
+        batch_size=band_bundle_size(n_rows),
+    )
+    return candidate_edges(banded, config.max_bucket_size).materialize()
+
+
+def verified_edges(
+    candidates: "ray.data.Dataset",
+    signatures: "ray.data.Dataset",
+    config: NearDupConfig,
+) -> "ray.data.Dataset":
+    """candidates → distinct verified edges (src, dst, score). Materialized.
+
+    The distinct edge list is materialized because verify_edges consumes it
+    twice (id collection + scoring) and the upstream sort must not re-run."""
+    distinct = dedupe_edges(candidates).materialize()
+    return verify_edges(distinct, signatures, config).materialize()
+
+
+def cluster_edges(edges: "ray.data.Dataset", config: NearDupConfig) -> "ray.data.Dataset":
+    """Verified edges → (doc_id, cluster_id) for every edge-involved doc."""
+    if edges.count() == 0:
+        return ray.data.from_arrow(_EMPTY_CLUSTERS)
+    return connected_components(
+        edges, method=config.cc_method, local_max_edges=config.cc_local_max_edges
+    )
+
+
 def match_edges(
     signatures: "ray.data.Dataset",
     config: NearDupConfig | None = None,
-    band_batch_size: int | None = None,
     n_rows: int | None = None,
 ) -> "ray.data.Dataset":
-    """signatures → verified match edges (src, dst, score). Materialized.
+    """signatures → verified match edges (src, dst, score): stages 2-3.
+    Materialized.
 
-    Sizing the band bundles needs a row count. In preference order:
-    ``band_batch_size`` (explicit), ``n_rows`` (caller-known count — parquet
-    footer metadata via ``sources.parquet_row_count`` or a checkpoint's
-    lineage ``rows``; the metadata path neither materializes nor
-    double-executes the signatures, VERDICT r4 #6), else the signatures are
-    materialized once (the probe needs a count, and verify_edges re-reads
-    them for its slim pass anyway — on a lazy pipeline both would otherwise
-    re-run the expensive extract+sign stage). A caller streaming a
-    corpus-scale lazy pipeline that must NOT be pinned in the object store
-    (ADVICE r3) passes one of the first two and accepts the re-execution of
-    the lazy input by the later verify pass instead."""
+    Sizing the band bundles needs a row count: ``n_rows`` (caller-known —
+    parquet footer metadata via ``sources.parquet_row_count`` or a
+    checkpoint's lineage ``rows``; this metadata path neither materializes
+    nor double-executes the signatures, VERDICT r4 #6), else the signatures
+    are materialized once (verify re-reads them for its slim pass anyway —
+    on a lazy pipeline both would otherwise re-run the expensive
+    extract+sign stage). A caller streaming a corpus-scale lazy pipeline
+    that must NOT be pinned in the object store (ADVICE r3) passes
+    ``n_rows`` and accepts the re-execution of the lazy input by the later
+    verify pass instead."""
     config = config or NearDupConfig()
-    if band_batch_size is None and n_rows is not None:
-        band_batch_size = band_bundle_size(n_rows)
-    if band_batch_size is None:
+    if n_rows is None:
         signatures = signatures.materialize()
-        band_batch_size = band_bundle_size(signatures.count())
-    banded = signatures.map_batches(
-        band_emitter(config.signature()), batch_format="pyarrow",
-        batch_size=band_batch_size,
+        n_rows = signatures.count()
+    return verified_edges(band_candidates(signatures, config, n_rows), signatures, config)
+
+
+# ---------------------------------------------------------------------------
+# 5. stamp
+# ---------------------------------------------------------------------------
+
+
+def _output_columns(keep_columns: list[str] | None) -> list[str]:
+    return _OUT_COLUMNS + [c for c in (keep_columns or []) if c not in _OUT_COLUMNS]
+
+
+def _stamped(batch: pa.Table, cluster: np.ndarray, is_canon: np.ndarray,
+             columns: list[str]) -> pa.Table:
+    """``batch`` projected onto ``columns`` with the stamp filled in."""
+    stamp = {"cluster_id": pa.array(cluster, pa.int64()),
+             "is_canonical": pa.array(is_canon, pa.bool_())}
+    return pa.table({c: stamp[c] if c in stamp else batch.column(c)
+                     for c in columns if c in stamp or c in batch.column_names})
+
+
+def _members(rows: pa.Table, nodes: np.ndarray, roots: np.ndarray) -> pa.Table:
+    """The rows of docs in the cluster map, with their cluster_id — the
+    input of the canonical kernel."""
+    d = rows.column("doc_id").to_numpy(zero_copy_only=False)
+    hit = np.isin(d, nodes)
+    cols = [c for c in ("doc_id", "warc_ts", "url") if c in rows.column_names]
+    return rows.select(cols).filter(pa.array(hit)).append_column(
+        "cluster_id", pa.array(cluster_lookup(d[hit], nodes, roots), pa.int64())
     )
-    cands = candidate_edges(banded, config.max_bucket_size)
-    # materialize the (small) distinct edge list: verify_edges consumes it
-    # twice (id collection + scoring) and the upstream double sort must not
-    # re-run; also lets the verifier actor pool run against a settled input.
-    distinct = dedupe_edges(cands).materialize()
-    return verify_edges(distinct, signatures, config).materialize()
+
+
+def _broadcast_stamp(
+    signatures: "ray.data.Dataset",
+    map_ref: "ray.ObjectRef",
+    canon: pa.Table,
+    keep_columns: list[str] | None,
+    batch_size: int | None,
+) -> "ray.data.Dataset":
+    """ONE broadcast map over the corpus does both lookups — doc_id →
+    cluster_id through the sorted cluster map ``map_ref``, then cluster_id
+    → canonical doc — and projects the output columns. Docs outside the map
+    are singletons: their own cluster and canonical."""
+    canon_ref = ray.put(id_map(canon, "cluster_id", "canonical_doc_id"))
+    columns = _output_columns(keep_columns)
+
+    def _stamp(batch: pa.Table) -> pa.Table:
+        nodes, roots = ray.get(map_ref)
+        c_ids, c_docs = ray.get(canon_ref)
+        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
+        cluster = cluster_lookup(d, nodes, roots)
+        return _stamped(batch, cluster, cluster_lookup(cluster, c_ids, c_docs) == d, columns)
+
+    return signatures.map_batches(_stamp, batch_format="pyarrow", batch_size=batch_size)
 
 
 def _assign_clusters_join(
@@ -164,19 +282,13 @@ def _assign_clusters_join(
     ``cluster_id`` with a doc_id sort-merge join (union + one sorted pass —
     the ``sort_merge_join`` shape specialized to left-join-with-default) and
     pick canonicals inside a cluster_id shuffle. Two slim-column exchanges,
-    ZERO driver/broadcast state. Output carries only the stamping columns
-    (url/warc_ts/lang/doc_id + keeps) — exactly what the flagship's finalize
-    step keeps; heavy signature columns never enter the shuffle."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    have = signatures.schema().names
-    base = ["url", "warc_ts", "lang", "doc_id"]
-    cols = [c for c in base if c in have] + [
-        c for c in (keep_columns or []) if c in have and c not in base
-    ]
-    slim = signatures.select_columns(cols)
-    types = dict(zip(signatures.schema().names, signatures.schema().types))
-    data_cols = [c for c in cols if c != "doc_id"]
+    ZERO driver/broadcast state; heavy signature columns never enter the
+    shuffle."""
+    schema = signatures.schema()
+    types = dict(zip(schema.names, schema.types))
+    columns = _output_columns(keep_columns)
+    data_cols = [c for c in columns if c in types and c != "doc_id"]
+    slim = signatures.select_columns(["doc_id"] + data_cols)
 
     # explicit side column (not a -1 cluster-id sentinel): caller-provided
     # doc/cluster ids may legitimately be negative, and a sentinel would
@@ -233,29 +345,12 @@ def _assign_clusters_join(
     stamped = sorted_group_apply(unioned, "doc_id", _stamp_block)
 
     def _canon_block(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return block.append_column("is_canonical", pa.array([], pa.bool_()))
-        cid = block.column("cluster_id").to_numpy(zero_copy_only=False)
-        did = block.column("doc_id").to_numpy(zero_copy_only=False)
-        if "warc_ts" in block.column_names and "url" in block.column_names:
-            ts = block.column("warc_ts").to_numpy(zero_copy_only=False)
-            urls = np.asarray(block.column("url").to_pylist(), dtype=object)
-            order = np.lexsort((urls, ts, cid))
-        else:
-            order = np.lexsort((did, cid))
-        cid_s = cid[order]
-        boundary = np.r_[True, cid_s[1:] != cid_s[:-1]]
-        starts = np.flatnonzero(boundary)
-        run_id = np.cumsum(boundary) - 1
-        # canonical is DOC-level (matches the broadcast path): every row of
-        # the winning doc_id is marked, which matters when a doc_id appears
-        # in multiple rows
-        canon_doc = did[order[starts]]
-        inv_run = np.empty(n, dtype=np.int64)
-        inv_run[order] = run_id
-        is_canon = did == canon_doc[inv_run]
-        return block.append_column("is_canonical", pa.array(is_canon, pa.bool_()))
+        # canonical is DOC-level (as in the broadcast path): every row of
+        # the winning doc_id is marked
+        c_ids, c_docs = id_map(canonical_members(block), "cluster_id", "canonical_doc_id")
+        d = block.column("doc_id").to_numpy(zero_copy_only=False)
+        cluster = block.column("cluster_id").to_numpy(zero_copy_only=False)
+        return _stamped(block, cluster, cluster_lookup(cluster, c_ids, c_docs) == d, columns)
 
     return sorted_group_apply(stamped, "cluster_id", _canon_block)
 
@@ -267,14 +362,15 @@ def assign_clusters(
     broadcast_max_rows: int = 100_000_000,
     keep_columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
-    """Attach cluster_id + is_canonical to every row.
+    """Stamp every row with cluster_id + is_canonical; the output carries
+    url, warc_ts, lang, doc_id, cluster_id, is_canonical (those the input
+    has) and ``keep_columns``.
 
     ``mode="broadcast"`` (the common case): the cluster map covers only
-    duplicate-involved docs (small side) — it is broadcast via ``ray.put``
-    and joined with binary-search lookups inside ``map_batches``; the corpus
-    itself never shuffles. Singletons get ``cluster_id = doc_id``. Canonical
-    member = min ``(warc_ts, url)`` within the cluster, computed
-    distributedly on the duplicate subset.
+    duplicate-involved docs (small side) — it is broadcast via ``ray.put``;
+    the canonical of each cluster is picked distributedly over the member
+    rows (a cluster_id sort), and one broadcast map stamps the corpus, which
+    itself never shuffles. Singletons get ``cluster_id = doc_id``.
 
     ``mode="join"``: no broadcast at all — see :func:`_assign_clusters_join`
     for when the dup-involved slice exceeds the object store. ``auto`` picks
@@ -289,100 +385,17 @@ def assign_clusters(
             logger.info("assign_clusters: cluster map too large — join path")
     if mode == "join":
         return _assign_clusters_join(signatures, clusters, keep_columns)
-    cmap = pa.concat_tables(
-        list(clusters.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"doc_id": pa.array([], pa.int64()),
-                      "cluster_id": pa.array([], pa.int64())})]
+    map_ref = ray.put(id_map(_collect(clusters, _EMPTY_CLUSTERS), "doc_id", "cluster_id"))
+    members = signatures.map_batches(
+        lambda b: _members(b, *ray.get(map_ref)), batch_format="pyarrow", batch_size=8192
     )
-    ids = cmap.column("doc_id").to_numpy(zero_copy_only=False)
-    cids = cmap.column("cluster_id").to_numpy(zero_copy_only=False)
-    order = np.argsort(ids, kind="stable")
-    map_ref = ray.put((ids[order], cids[order]))
-
-    def _assign(batch: pa.Table) -> pa.Table:
-        sids, scids = ray.get(map_ref)
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        cluster = d.copy()
-        if len(sids):
-            pos = np.searchsorted(sids, d)
-            pos_c = np.clip(pos, 0, len(sids) - 1)
-            hit = sids[pos_c] == d
-            cluster[hit] = scids[pos_c[hit]]
-        return batch.append_column("cluster_id", pa.array(cluster, pa.int64()))
-
-    with_cluster = signatures.map_batches(_assign, batch_format="pyarrow", batch_size=8192)
-
-    # canonical per cluster: min (warc_ts, url) over the duplicate subset only
-    def _dup_rows(batch: pa.Table) -> pa.Table:
-        mask = pa.array(
-            batch.column("cluster_id").to_numpy(zero_copy_only=False)
-            != batch.column("doc_id").to_numpy(zero_copy_only=False)
-        )
-        # the cluster root (cluster_id == doc_id) is also a member — keep it
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        sids, _ = ray.get(map_ref)
-        in_map = (
-            np.isin(d, sids) if len(sids) else np.zeros(len(d), dtype=bool)
-        )
-        keep = pa.array(np.logical_or(mask.to_numpy(zero_copy_only=False), in_map))
-        cols = ["cluster_id", "doc_id", "warc_ts", "url"]
-        cols = [c for c in cols if c in batch.column_names]
-        return batch.select(cols).filter(keep)
-
-    dup_rows = with_cluster.map_batches(_dup_rows, batch_format="pyarrow", batch_size=8192)
-
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    def _canonical_block(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table({"cluster_id": pa.array([], pa.int64()),
-                             "canonical_doc_id": pa.array([], pa.int64())})
-        cid = block.column("cluster_id").to_numpy(zero_copy_only=False)
-        did = block.column("doc_id").to_numpy(zero_copy_only=False)
-        ts = block.column("warc_ts").to_numpy(zero_copy_only=False)
-        urls = np.asarray(block.column("url").to_pylist(), dtype=object)
-        # pick lexicographic min (ts, url) per cluster: ONE stable lexsort +
-        # run starts — no per-cluster Python min() (VERDICT r2 #2)
-        order = np.lexsort((urls, ts, cid))
-        cid_s = cid[order]
-        starts = np.flatnonzero(np.r_[True, cid_s[1:] != cid_s[:-1]])
-        picks = order[starts]
-        return pa.table({"cluster_id": pa.array(cid[picks], pa.int64()),
-                         "canonical_doc_id": pa.array(did[picks], pa.int64())})
-
-    canon = pa.concat_tables(
-        list(
-            sorted_group_apply(dup_rows, "cluster_id", _canonical_block).iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow"
-            )
-        )
-        or [pa.table({"cluster_id": pa.array([], pa.int64()),
-                      "canonical_doc_id": pa.array([], pa.int64())})]
-    )
-    c_ids = canon.column("cluster_id").to_numpy(zero_copy_only=False)
-    c_canon = canon.column("canonical_doc_id").to_numpy(zero_copy_only=False)
-    c_order = np.argsort(c_ids, kind="stable")
-    canon_ref = ray.put((c_ids[c_order], c_canon[c_order]))
-
-    def _mark_canonical(batch: pa.Table) -> pa.Table:
-        sc_ids, sc_canon = ray.get(canon_ref)
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        cl = batch.column("cluster_id").to_numpy(zero_copy_only=False)
-        is_canon = d == cl  # singletons: canonical by definition
-        if len(sc_ids):
-            pos = np.clip(np.searchsorted(sc_ids, cl), 0, len(sc_ids) - 1)
-            hit = sc_ids[pos] == cl
-            is_canon = np.where(hit, sc_canon[pos] == d, is_canon)
-        return batch.append_column("is_canonical", pa.array(is_canon, pa.bool_()))
-
-    return with_cluster.map_batches(_mark_canonical, batch_format="pyarrow", batch_size=8192)
+    canon = _collect(sorted_group_apply(members, "cluster_id", canonical_members), _EMPTY_CANON)
+    return _broadcast_stamp(signatures, map_ref, canon, keep_columns, batch_size=8192)
 
 
-def _finalize_columns(out: "ray.data.Dataset", keep_columns: list[str] | None):
-    base = ["url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
-    cols = base + [c for c in (keep_columns or []) if c not in base]
-    have = out.schema().names
-    return out.select_columns([c for c in cols if c in have])
+# ---------------------------------------------------------------------------
+# driver fast path: verify + cluster + canonical pick on the driver
+# ---------------------------------------------------------------------------
 
 
 def _jw_pairs_parallel(t1: list[str], t2: list[str], chunk: int = 256) -> np.ndarray:
@@ -403,130 +416,73 @@ def _jw_pairs_parallel(t1: list[str], t2: list[str], chunk: int = 256) -> np.nda
     return np.concatenate(ray.get(refs))
 
 
-def _near_duplicates_driver_path(
-    sigs: "ray.data.Dataset", cand: "ray.data.Dataset", config: NearDupConfig
-) -> "ray.data.Dataset":
-    """Small-edge-set fast path: ONE distributed pass filters signatures of
-    edge-involved docs to the driver; verification, union-find and canonical
-    selection run driver-side on that slice; a single broadcast map stamps
-    the corpus. Total dataset executions after banding: 2 (slim filter +
-    final stamp) — the all-pairs work still happened distributedly in the
-    banding sort."""
+def _verify_on_driver(
+    src: np.ndarray, dst: np.ndarray, slim: pa.Table, config: NearDupConfig
+) -> np.ndarray:
+    """Keep-mask over the (src, dst) pairs: the exact metric, vectorized
+    over the slim signature slice."""
     from dedupe_ray.functions.metrics import hamming64
-    from dedupe_ray.stages.candidates import _distinct_pairs
-    from dedupe_ray.stages.clustering import union_find_local
 
-    # collect + dedupe candidate pairs (already materialized, block-deduped;
-    # lexsort-distinct ≈ 3× np.unique(axis=0) on dup-heavy corpora)
-    parts = list(cand.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if parts:
-        cand_tbl = pa.concat_tables(parts)
-        s, d = _distinct_pairs(
-            cand_tbl.column("src").to_numpy(zero_copy_only=False),
-            cand_tbl.column("dst").to_numpy(zero_copy_only=False),
-        )
-        pairs = np.stack([s, d], axis=1)
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-
+    if len(src) == 0:
+        return np.zeros(0, dtype=bool)
+    ids = slim.column("doc_id").to_numpy(zero_copy_only=False)
+    order = np.argsort(ids, kind="stable")
+    ra = order[np.searchsorted(ids[order], src)]
+    rb = order[np.searchsorted(ids[order], dst)]
     cfg = config.signature()
-    is_simhash = isinstance(cfg, SimHashConfig)
-    sig_col = "simhash" if is_simhash else "minhash"
-    want = np.unique(pairs.reshape(-1))
-    want_ref = ray.put(want)
+    if isinstance(cfg, SimHashConfig):
+        sim = slim.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
+        keep = hamming64(sim[ra], sim[rb]) <= cfg.threshold
+    else:
+        flat = slim.column("minhash").combine_chunks().flatten().to_numpy(zero_copy_only=False)
+        mh = flat.reshape(slim.num_rows, config.minhash.num_perms)
+        keep = (mh[ra] == mh[rb]).mean(axis=1) >= cfg.threshold
+    kidx = np.flatnonzero(keep)
+    if config.jaro_winkler_min is not None and "text" in slim.column_names and len(kidx):
+        texts = slim.column("text").to_pylist()
+        t1 = [(texts[ra[k]] or "")[:512] for k in kidx]
+        t2 = [(texts[rb[k]] or "")[:512] for k in kidx]
+        keep[kidx[_jw_pairs_parallel(t1, t2) < config.jaro_winkler_min]] = False
+    return keep
 
-    need_text = config.jaro_winkler_min is not None
+
+def _near_duplicates_driver_path(
+    sigs: "ray.data.Dataset",
+    cand: "ray.data.Dataset",
+    config: NearDupConfig,
+    keep_columns: list[str] | None,
+) -> "ray.data.Dataset":
+    """Small-candidate fast path: ONE distributed pass filters signatures of
+    candidate docs to the driver; verification, union-find and the canonical
+    pick run driver-side on that slice; the broadcast stamp finishes. Total
+    dataset executions after banding: 2 (slim filter + stamp) — the
+    all-pairs work still happened distributedly in the banding sort."""
+    # lexsort-distinct ≈ 3× np.unique(axis=0) on dup-heavy corpora
+    pairs = _collect(cand, _EMPTY_PAIRS)
+    src = pairs.column("src").to_numpy(zero_copy_only=False)
+    dst = pairs.column("dst").to_numpy(zero_copy_only=False)
+    if len(src):
+        src, dst = _distinct_pairs(src, dst)
+
+    sig_col = "simhash" if isinstance(config.signature(), SimHashConfig) else "minhash"
+    want_ref = ray.put(np.unique(np.r_[src, dst]))
+    extra = ("warc_ts", "url") + (("text",) if config.jaro_winkler_min is not None else ())
 
     def _slim(batch: pa.Table) -> pa.Table:
-        w = ray.get(want_ref)
-        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), w)
-        cols = ["doc_id", sig_col] + [
-            c for c in ("warc_ts", "url") if c in batch.column_names
-        ]
-        if need_text and "text" in batch.column_names:
-            cols.append("text")
+        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), ray.get(want_ref))
+        cols = ["doc_id", sig_col] + [c for c in extra if c in batch.column_names]
         return batch.select(cols).filter(pa.array(mask))
 
-    slim = pa.concat_tables(
-        list(
-            sigs.map_batches(_slim, batch_format="pyarrow", batch_size=None).iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow"
-            )
-        )
-        or [pa.table({"doc_id": pa.array([], pa.int64())})]
+    slim = _collect(sigs.map_batches(_slim, batch_format="pyarrow", batch_size=None),
+                    pa.table({"doc_id": pa.array([], pa.int64())}))
+    keep = _verify_on_driver(src, dst, slim, config)
+    nodes, roots = id_map(
+        union_find_local(pa.table({"src": pa.array(src[keep], pa.int64()),
+                                   "dst": pa.array(dst[keep], pa.int64())})),
+        "doc_id", "cluster_id",
     )
-    ids = slim.column("doc_id").to_numpy(zero_copy_only=False) if slim.num_rows else np.zeros(0, np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids_s = ids[order]
-
-    # --- verify (vectorized, driver) ---------------------------------------
-    verified = pairs[:0]
-    if len(pairs) and slim.num_rows:
-        ia = np.searchsorted(ids_s, pairs[:, 0])
-        ib = np.searchsorted(ids_s, pairs[:, 1])
-        if is_simhash:
-            sim = slim.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)[order]
-            keep = hamming64(sim[ia], sim[ib]) <= cfg.threshold
-        else:
-            flat = slim.column("minhash").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            mh = flat.reshape(slim.num_rows, config.minhash.num_perms)[order]
-            keep = (mh[ia] == mh[ib]).mean(axis=1) >= cfg.threshold
-        if need_text and "text" in slim.column_names:
-            texts_all = slim.column("text").to_pylist()
-            texts_s = [texts_all[int(i)] for i in order]
-            jw_min = config.jaro_winkler_min
-            kidx = np.flatnonzero(keep)
-            if len(kidx):
-                t1 = [(texts_s[ia[k]] or "")[:512] for k in kidx]
-                t2 = [(texts_s[ib[k]] or "")[:512] for k in kidx]
-                keep[kidx[_jw_pairs_parallel(t1, t2) < jw_min]] = False
-        verified = pairs[keep]
-
-    # --- cluster (driver union-find) + canonical ---------------------------
-    cl = union_find_local(
-        pa.table({"src": pa.array(verified[:, 0], pa.int64()),
-                  "dst": pa.array(verified[:, 1], pa.int64())})
-    )
-    node = cl.column("doc_id").to_numpy(zero_copy_only=False)
-    root = cl.column("cluster_id").to_numpy(zero_copy_only=False)
-    n_order = np.argsort(node, kind="stable")
-    node_s, root_s = node[n_order], root[n_order]
-
-    canon_of: dict[int, int] = {}
-    if len(node_s) and slim.num_rows and "warc_ts" in slim.column_names:
-        ts_all = slim.column("warc_ts").to_numpy(zero_copy_only=False)[order]
-        url_all = np.asarray(slim.column("url").to_pylist(), dtype=object)[order]
-        pos = np.searchsorted(ids_s, node_s)
-        for n_id, r, p in zip(node_s.tolist(), root_s.tolist(), pos.tolist()):
-            key = (ts_all[p], url_all[p], n_id)
-            best = canon_of.get(r)
-            if best is None or key < best:
-                canon_of[r] = key
-        canon_items = sorted((r, k[2]) for r, k in canon_of.items())
-    else:
-        canon_items = sorted((r, r) for r in set(root_s.tolist()))
-    c_ids = np.asarray([c for c, _ in canon_items], dtype=np.int64)
-    c_doc = np.asarray([d for _, d in canon_items], dtype=np.int64)
-
-    stamp_ref = ray.put((node_s, root_s, c_ids, c_doc))
-
-    def _stamp(batch: pa.Table) -> pa.Table:
-        nd, rt, ci, cd = ray.get(stamp_ref)
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        cluster = d.copy()
-        if len(nd):
-            p = np.clip(np.searchsorted(nd, d), 0, len(nd) - 1)
-            hit = nd[p] == d
-            cluster[hit] = rt[p[hit]]
-        is_canon = d == cluster
-        if len(ci):
-            p = np.clip(np.searchsorted(ci, cluster), 0, len(ci) - 1)
-            hit = ci[p] == cluster
-            is_canon = np.where(hit, cd[p] == d, is_canon)
-        batch = batch.append_column("cluster_id", pa.array(cluster, pa.int64()))
-        return batch.append_column("is_canonical", pa.array(is_canon, pa.bool_()))
-
-    return sigs.map_batches(_stamp, batch_format="pyarrow", batch_size=None)
+    canon = canonical_members(_members(slim, nodes, roots))
+    return _broadcast_stamp(sigs, ray.put((nodes, roots)), canon, keep_columns, batch_size=None)
 
 
 def near_duplicates(
@@ -541,53 +497,23 @@ def near_duplicates(
 
     ``mode``: "driver" verifies/clusters the (small) candidate set driver-side
     after one distributed slim pass; "distributed" keeps every step on the
-    cluster (star-contraction CC, distributed canonical selection); "auto"
-    switches on candidate count vs ``config.cc_local_max_edges``.
+    cluster (broadcast verify, star-contraction CC when ``cc_method`` says
+    so, distributed canonical pick); "auto" switches on candidate count vs
+    ``config.cc_local_max_edges``.
     """
     config = config or NearDupConfig()
-    sigs = signatures_dataset(pages, config, extract=extract)
-    # signatures feed both the edge pipeline and the final assignment —
-    # materialize once so the extract+signature work is not recomputed.
-    sigs = sigs.materialize()
+    # signatures feed banding, verification and the stamp — materialize once
+    # so the extract+signature work is not recomputed
+    sigs = signatures_dataset(pages, config, extract=extract).materialize()
     n_sigs = sigs.count()
     if n_sigs == 0:
-        base = ["url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
-        empty = pa.table(
-            {
-                "url": pa.nulls(0, pa.string()),
-                "warc_ts": pa.nulls(0, pa.timestamp("us")),
-                "lang": pa.nulls(0, pa.string()),
-                "doc_id": pa.nulls(0, pa.int64()),
-                "cluster_id": pa.nulls(0, pa.int64()),
-                "is_canonical": pa.nulls(0, pa.bool_()),
-            }
-        )
-        return ray.data.from_arrow(empty)
-
-    banded = sigs.map_batches(
-        band_emitter(config.signature()), batch_format="pyarrow",
-        batch_size=band_bundle_size(n_sigs),
-    )
-    cand = candidate_edges(banded, config.max_bucket_size).materialize()
-    n_cand = cand.count()
+        return ray.data.from_arrow(_EMPTY_OUTPUT)
+    cand = band_candidates(sigs, config, n_sigs)
     if mode == "auto":
+        n_cand = cand.count()
         mode = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
         logger.info("near_duplicates auto: %d candidates → %s path", n_cand, mode)
-
     if mode == "driver":
-        out = _near_duplicates_driver_path(sigs, cand, config)
-        return _finalize_columns(out, keep_columns)
-
-    distinct = dedupe_edges(cand).materialize()
-    edges = verify_edges(distinct, sigs, config).materialize()
-    if edges.count() == 0:
-        clusters = ray.data.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()),
-                      "cluster_id": pa.array([], pa.int64())})
-        )
-    else:
-        clusters = connected_components(
-            edges, method=config.cc_method, local_max_edges=config.cc_local_max_edges
-        )
-    out = assign_clusters(sigs, clusters, keep_columns=keep_columns)
-    return _finalize_columns(out, keep_columns)
+        return _near_duplicates_driver_path(sigs, cand, config, keep_columns)
+    clusters = cluster_edges(verified_edges(cand, sigs, config), config)
+    return assign_clusters(sigs, clusters, keep_columns=keep_columns)

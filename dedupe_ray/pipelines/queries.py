@@ -908,7 +908,7 @@ def neardup_docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
     banded = sigs.map_batches(band_emitter(cfg.minhash), batch_format="pyarrow",
                               batch_size=None)
     from dedupe_ray.stages.candidates import _collect_edge_ids, dedupe_edges
-    from dedupe_ray.stages.clustering import connected_components
+    from dedupe_ray.stages.clustering import cluster_lookup, connected_components, id_map
 
     cand = candidate_edges(banded, cfg.max_bucket_size)
     distinct = dedupe_edges(cand).materialize()
@@ -997,17 +997,8 @@ def neardup_docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
         or [pa.table({"doc_id": pa.array([], pa.int64()),
                       "cluster_id": pa.array([], pa.int64())})]
     )
-    node = cl.column("doc_id").to_numpy(zero_copy_only=False)
-    rootv = cl.column("cluster_id").to_numpy(zero_copy_only=False)
-    n_order = np.argsort(node, kind="stable")
-
     urls = np.asarray(slim.column("url").to_pylist(), dtype=object)[order]
-    cluster = ids_sorted.copy()
-    nd, rt = node[n_order], rootv[n_order]
-    if len(nd):
-        p = np.clip(np.searchsorted(nd, ids_sorted), 0, len(nd) - 1)
-        hit = nd[p] == ids_sorted
-        cluster[hit] = rt[p[hit]]
+    cluster = cluster_lookup(ids_sorted, *id_map(cl, "doc_id", "cluster_id"))
     out = pa.table(
         {"url": pa.array(urls, pa.string()),
          "cluster_id": pa.array(cluster, pa.int64())}
@@ -2328,22 +2319,17 @@ def neardup_docs_clusters_audit(sf_dir: str, threshold: float = 0.5):
     = min member id) for EVERY document (singletons are their own cluster) —
     the SQL-oracled audit of the clustering stage (union-find vs a recursive
     min-label CTE)."""
-    from dedupe_ray.stages.clustering import union_find_local
+    from dedupe_ray.stages.clustering import cluster_lookup, id_map, union_find_local
 
     edges = neardup_docs_jaccard_audit(sf_dir, threshold)
-    cl = union_find_local(edges)
-    root = dict(
-        zip(cl.column("doc_id").to_pylist(), cl.column("cluster_id").to_pylist())
-    )
-    root_ref = ray.put(root)
+    root_ref = ray.put(id_map(union_find_local(edges), "doc_id", "cluster_id"))
     docs = read_table(sf_dir, "documents", ["doc_id"])
 
     def _stamp(batch: pa.Table) -> pa.Table:
-        r = ray.get(root_ref)
-        ids = batch.column("doc_id").to_pylist()
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         return pa.table(
             {"doc_id": batch.column("doc_id"),
-             "cluster_id": pa.array([r.get(d, d) for d in ids], pa.int64())}
+             "cluster_id": pa.array(cluster_lookup(ids, *ray.get(root_ref)), pa.int64())}
         )
 
     return docs.map_batches(_stamp, batch_format="pyarrow", batch_size=None)
@@ -5140,7 +5126,7 @@ def media_neardup(sf_dir: str, threshold: int = 7):
     from dedupe_ray.pipelines.neardup import match_edges
     from dedupe_ray.stages.banding import simhash_band_table
     from dedupe_ray.stages.candidates import _emit_pairs_block
-    from dedupe_ray.stages.clustering import union_find_local
+    from dedupe_ray.stages.clustering import cluster_lookup, id_map, union_find_local
     from dedupe_ray.stages.multimodal import media_feature_fn
 
     ds = read_table(sf_dir, "documents", ["doc_id"])
@@ -5244,37 +5230,20 @@ def media_neardup(sf_dir: str, threshold: int = 7):
                       "dst": pa.array(d, pa.int64()),
                       "score": pa.array(np.zeros(len(s)), pa.float64())})
         )
-        cids = clusters.column("doc_id").to_numpy(zero_copy_only=False)
-        ccl = clusters.column("cluster_id").to_numpy(zero_copy_only=False)
-        oc = np.argsort(cids, kind="stable")
-        sk, sc = cids[oc], ccl[oc]
-        cluster = ids.copy()
-        if len(sk):
-            pos = np.clip(np.searchsorted(sk, ids), 0, len(sk) - 1)
-            hit = sk[pos] == ids
-            cluster[hit] = sc[pos[hit]]
+        cluster = cluster_lookup(ids, *id_map(clusters, "doc_id", "cluster_id"))
         return ray.data.from_arrow(
             pa.table({"media_id": pa.array(ids, pa.int64()),
                       "cluster_id": pa.array(cluster, pa.int64())})
         )
 
     clusters = union_find_local(match_edges(sigs, cfg, n_rows=n_sigs))
-    cids = clusters.column("doc_id").to_numpy(zero_copy_only=False)
-    ccl = clusters.column("cluster_id").to_numpy(zero_copy_only=False)
-    o = np.argsort(cids, kind="stable")
-    mref = ray.put((cids[o], ccl[o]))
+    mref = ray.put(id_map(clusters, "doc_id", "cluster_id"))
 
     def _stamp(batch: pa.Table) -> pa.Table:
-        sk, sc = ray.get(mref)
         m = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        cluster = m.copy()
-        if len(sk):
-            pos = np.clip(np.searchsorted(sk, m), 0, len(sk) - 1)
-            hit = sk[pos] == m
-            cluster[hit] = sc[pos[hit]]
         return pa.table(
             {"media_id": pa.array(m, pa.int64()),
-             "cluster_id": pa.array(cluster, pa.int64())}
+             "cluster_id": pa.array(cluster_lookup(m, *ray.get(mref)), pa.int64())}
         )
 
     return sigs.map_batches(_stamp, batch_format="pyarrow", batch_size=None)

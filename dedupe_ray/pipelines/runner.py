@@ -14,8 +14,9 @@ from typing import Sequence
 import ray.data
 
 from dedupe_ray.config import NearDupConfig
-from dedupe_ray.pipelines.neardup import assign_clusters, match_edges, signatures_dataset
-from dedupe_ray.stages.clustering import connected_components
+from dedupe_ray.pipelines.neardup import (
+    assign_clusters, cluster_edges, match_edges, signatures_dataset,
+)
 from dedupe_ray.state.checkpoint import CheckpointedRun
 
 __all__ = ["run_neardup_checkpointed"]
@@ -91,6 +92,7 @@ def run_neardup_checkpointed(
             lambda: signatures_dataset(read_pages(list(input_paths)), config,
                                        extract=extract),
         )
+    # the flagship stage list of pipelines/neardup.py, one checkpoint each
     edges = run.stage(
         "edges",
         # row count from the signatures checkpoint's lineage sidecar (or its
@@ -100,22 +102,11 @@ def run_neardup_checkpointed(
         upstream=["signatures"],
     )
     clusters = run.stage(
-        "clusters",
-        lambda: connected_components(
-            edges.materialize(), method=config.cc_method,
-            local_max_edges=config.cc_local_max_edges,
-        ),
-        upstream=["edges"],
+        "clusters", lambda: cluster_edges(edges.materialize(), config), upstream=["edges"]
     )
-    def _assignment():
-        out = assign_clusters(sigs, clusters)
-        # drop columns by what the OUTPUT actually carries — the join
-        # stamping path already excludes the heavy signature columns, and
-        # dropping by the input schema would crash there
-        heavy = [c for c in ("minhash", "simhash", "text", "html")
-                 if c in out.schema().names]
-        return out.drop_columns(heavy) if heavy else out
-
-    run.stage("assignment", _assignment, upstream=["signatures", "clusters"])
+    run.stage(
+        "assignment", lambda: assign_clusters(sigs, clusters),
+        upstream=["signatures", "clusters"],
+    )
     run.write_run_manifest()
     return run.metrics

@@ -18,6 +18,10 @@ Two implementations:
   state, works at any edge-list size.
 
 ``auto`` picks local below ``local_max_edges``, distributed above.
+
+Every path stamps pages with the same two kernels: :func:`cluster_lookup`
+(doc_id → cluster_id through a sorted id map) and :func:`canonical_members`
+(the one canonical order, min ``(warc_ts, url, doc_id)`` per cluster).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import logging
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -33,7 +38,10 @@ from dedupe_ray.stages.groupapply import sorted_group_apply
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["connected_components", "union_find_local", "connected_components_distributed"]
+__all__ = [
+    "connected_components", "union_find_local", "connected_components_distributed",
+    "canonical_members", "cluster_lookup", "id_map",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +95,48 @@ def union_find_local(edges: "ray.data.Dataset | pa.Table") -> pa.Table:
             "cluster_id": pa.array(nodes[parent], pa.int64()),
         }
     )
+
+
+def id_map(tbl: pa.Table, key: str, value: str) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of a two-column id table, sorted by key — the form
+    :func:`cluster_lookup` reads."""
+    k = tbl.column(key).to_numpy(zero_copy_only=False)
+    order = np.argsort(k, kind="stable")
+    return k[order], tbl.column(value).to_numpy(zero_copy_only=False)[order]
+
+
+def cluster_lookup(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at ``ids`` through the sorted id map ``keys``; an id absent
+    from the map maps to itself (a singleton is its own cluster, and a
+    cluster without a canonical entry is its own canonical)."""
+    out = np.array(ids, dtype=np.int64)
+    if len(keys):
+        pos = np.clip(np.searchsorted(keys, out), 0, len(keys) - 1)
+        hit = keys[pos] == out
+        out[hit] = values[pos[hit]]
+    return out
+
+
+def canonical_members(rows: pa.Table) -> pa.Table:
+    """(cluster_id, canonical_doc_id) per cluster, sorted by cluster_id.
+
+    The one canonical order: the member row that sorts first by
+    ``(warc_ts, url, doc_id)`` with nulls last — the reference keeps the
+    first member of a group (``-delete``, cmd/dedupe/main.go:228-230), made
+    order-free. ``warc_ts``/``url`` are optional; without them the smallest
+    doc_id wins. One Arrow sort plus run starts, no Python objects."""
+    if rows.num_rows == 0:
+        return pa.table({"cluster_id": pa.array([], pa.int64()),
+                         "canonical_doc_id": pa.array([], pa.int64())})
+    keys = [k for k in ("cluster_id", "warc_ts", "url", "doc_id") if k in rows.column_names]
+    order = pc.sort_indices(
+        rows, sort_keys=[(k, "ascending") for k in keys], null_placement="at_end"
+    ).to_numpy()
+    cid = rows.column("cluster_id").to_numpy(zero_copy_only=False)[order]
+    starts = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
+    did = rows.column("doc_id").to_numpy(zero_copy_only=False)
+    return pa.table({"cluster_id": pa.array(cid[starts], pa.int64()),
+                     "canonical_doc_id": pa.array(did[order[starts]], pa.int64())})
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ def test_expand_no_recursive_prunes_subdirs(tmp_path):
     assert deep == [str(top)]  # dir passed to the reader's recursive walk
 
 
-def test_input_fingerprint_sees_same_second_same_size_rewrite(tmp_path):
+def test_input_fingerprint_sees_same_second_same_size_rewrite(ray_session, tmp_path, capsys):
+    from dedupe_ray.cli import main
     from dedupe_ray.pipelines.runner import _input_fingerprint
 
     f = tmp_path / "pages.parquet"
@@ -134,6 +135,27 @@ def test_input_fingerprint_sees_same_second_same_size_rewrite(tmp_path):
     f.write_bytes(b"b" * 64)  # same size, rewritten 1 ns later
     os.utime(f, ns=(ns + 1, ns + 1))
     assert _input_fingerprint([str(f)]) != before
+
+    # the band index (cli index) must not resume over such a rewrite either
+    pages = generate_pages(n_pages=20, seed=3).pages
+
+    def _write(t: pa.Table, at_ns: int) -> int:
+        pq.write_table(t, str(f), compression="none", use_dictionary=False)
+        os.utime(f, ns=(at_ns, at_ns))
+        return os.path.getsize(f)
+
+    idx = str(tmp_path / "idx")
+    size = _write(pages, ns)
+    assert main(["index", "--input", str(f), "--index-dir", idx]) == 0
+    capsys.readouterr()
+    urls = pages.column("url").to_pylist()
+    urls[0] = urls[0][:-1] + ("x" if urls[0][-1] != "x" else "y")  # same length
+    edited = pages.set_column(pages.schema.get_field_index("url"), "url",
+                              pa.array(urls, pa.string()))
+    assert _write(edited, ns + 1) == size
+    assert main(["index", "--input", str(f), "--index-dir", idx]) == 0
+    m = json.loads(capsys.readouterr().out)
+    assert not m["signatures"].get("resumed") and not m["bands"].get("resumed")
 
 
 def test_band_index_persist_and_match_without_reextraction(
