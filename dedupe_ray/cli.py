@@ -213,14 +213,16 @@ def cmd_compare(args) -> int:
     else:
         import pyarrow.compute as pc
 
-        hit = sigs.map_batches(
-            lambda b: b.filter(pc.equal(b.column("url"), args.target_url)),
+        # the whole filtered dataset is consumed: a take(1) would cancel the
+        # in-flight tasks of a partial execution
+        hit = [b for b in sigs.map_batches(
+            lambda b: b.filter(pc.equal(b.column("url"), args.target_url)).select(["text"]),
             batch_format="pyarrow",
-        ).take(1)
+        ).iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
         if not hit:
             print(f"error: target url {args.target_url!r} not in corpus", file=sys.stderr)
             return 2
-        target = hit[0]["text"]
+        target = hit[0].column("text")[0].as_py()
     out = compare(sigs, target, cfg)
     for batch in out.select_columns(["url", "score"]).iter_batches(
         batch_size=10_000, batch_format="pyarrow"
@@ -306,8 +308,19 @@ def cmd_stats(args) -> int:
     if args.output:
         out.write_parquet(args.output)
     else:
-        # never materialize an unbounded corpus on the driver for display
-        print(out.limit(50).to_pandas().to_string())
+        # never materialize an unbounded corpus on the driver for display:
+        # every batch is consumed (no partial execution), the first 50 rows
+        # are kept
+        head, n = [], 0
+        for batch in out.iter_batches(batch_size=None, batch_format="pyarrow"):
+            if n < 50 and batch.num_rows:
+                head.append(batch.slice(0, 50 - n))
+                n += head[-1].num_rows
+        if head:
+            rows = pa.concat_tables(head)
+            print("\t".join(rows.column_names))
+            for row in zip(*(c.to_pylist() for c in rows.columns)):
+                print("\t".join(str(v) for v in row))
     return 0
 
 

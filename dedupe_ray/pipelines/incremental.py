@@ -29,7 +29,7 @@ import ray
 import ray.data
 
 from dedupe_ray.config import NearDupConfig
-from dedupe_ray.pipelines.neardup import signatures_dataset
+from dedupe_ray.pipelines.neardup import signatures_dataset, signatures_schema
 from dedupe_ray.stages.banding import band_emitter
 from dedupe_ray.stages.candidates import candidate_edges, dedupe_edges, verify_edges
 
@@ -210,9 +210,12 @@ def build_band_index(
     run = CheckpointedRun(
         index_dir, config.config_hash(), input_fingerprint=input_fingerprint
     )
+    # the schemas an empty corpus commits (read_pages input assumed)
+    sig_schema = signatures_schema(config, extract)
     sigs = run.stage(
         "signatures",
         lambda: signatures_dataset(corpus_pages, config, extract=extract),
+        schema=sig_schema,
     )
     emit = band_emitter(config.signature())
 
@@ -226,6 +229,7 @@ def build_band_index(
         lambda: sigs.map_batches(_banded_sharded, batch_format="pyarrow", batch_size=None),
         upstream=["signatures"],
         partition_cols=["band_shard"],
+        schema=_banded_sharded(sig_schema.empty_table()).schema,
     )
     run.write_run_manifest()
     return run.metrics

@@ -1,9 +1,10 @@
 """The flagship pipeline: pages → near-duplicate clusters (SURVEY.md §3.4).
 
-One stage list, one plain function per stage. ``near_duplicates`` (both
-modes) and the checkpointed runner (``pipelines/runner.py``: checkpoints
-``signatures``, ``edges`` = steps 2-3 via ``match_edges``, ``clusters``,
-``assignment``) call the same functions:
+One stage list, one plain function per stage. ``near_duplicates`` and the
+checkpointed runner (``pipelines/runner.py``, behind ``cli dedup``) sign
+the pages and then run the same list, :func:`neardup_stages`, whose stages
+``edges`` (steps 2-3), ``clusters`` (step 4) and ``assignment`` (step 5)
+the runner checkpoints one by one:
 
     1. sign         signatures_dataset   pages → + text, doc_id, simhash or
                                          minhash (one fused map_batches)
@@ -18,11 +19,12 @@ modes) and the checkpointed runner (``pipelines/runner.py``: checkpoints
                                          cluster_id sort-merge join when the
                                          cluster map is too big to broadcast
 
-``near_duplicates(mode="driver")`` — the small-candidate fast path — runs
-steps 3-4 and the canonical pick on the driver over one slim filtered slice
-of the signatures, then stamps with the same broadcast map. Every path picks
-canonicals with ``stages.clustering.canonical_members`` and looks cluster
-ids up with ``stages.clustering.cluster_lookup``.
+Below the candidate gate (``config.cc_local_max_edges``) the driver path
+runs steps 3-4 and the canonical pick on the driver over one slim filtered
+slice of the signatures, then stamps with the same broadcast map; above it
+steps 3-5 stay distributed. Every path picks canonicals with
+``stages.clustering.canonical_members`` and looks cluster ids up with
+``stages.clustering.cluster_lookup``.
 
 The corpus streams through map_batches stages; the only all-to-all exchange
 of corpus-sized data is the band-key sort (16-byte rows × B). Everything
@@ -63,14 +65,18 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "signatures_dataset", "band_candidates", "verified_edges", "cluster_edges",
-    "assign_clusters", "match_edges", "near_duplicates",
+    "assign_clusters", "match_edges", "neardup_stages", "near_duplicates",
 ]
 
 # output of the stamp: these columns (where the input has them), then any
 # caller keep_columns
 _OUT_COLUMNS = ["url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
+_EMPTY_EDGES = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
+                         "score": pa.array([], pa.float64())})
 _EMPTY_CLUSTERS = pa.table({"doc_id": pa.array([], pa.int64()),
                             "cluster_id": pa.array([], pa.int64())})
+# the driver path's clusters table: the map plus the canonical pick
+_EMPTY_DRIVER_CLUSTERS = _EMPTY_CLUSTERS.append_column("is_canonical", pa.array([], pa.bool_()))
 _EMPTY_CANON = pa.table({"cluster_id": pa.array([], pa.int64()),
                          "canonical_doc_id": pa.array([], pa.int64())})
 _EMPTY_OUTPUT = pa.table({
@@ -117,6 +123,15 @@ def _extract_and_sign(batch: pa.Table, config: NearDupConfig, extract: bool) -> 
 
         batch = mint_doc_ids(batch)
     return stage(batch)
+
+
+def signatures_schema(config: NearDupConfig, extract: bool = True) -> pa.Schema:
+    """The schema :func:`signatures_dataset` gives a ``read_pages`` input:
+    an empty batch signed on the driver (~1 ms, no Dataset execution) —
+    the declared schema of an empty signatures checkpoint."""
+    from dedupe_ray.fixtures.pages import PAGES_SCHEMA
+
+    return _extract_and_sign(PAGES_SCHEMA.empty_table(), config, extract).schema
 
 
 def signatures_dataset(
@@ -246,6 +261,14 @@ def _members(rows: pa.Table, nodes: np.ndarray, roots: np.ndarray) -> pa.Table:
     return rows.select(cols).filter(pa.array(hit)).append_column(
         "cluster_id", pa.array(cluster_lookup(d[hit], nodes, roots), pa.int64())
     )
+
+
+def _member_rows(signatures: "ray.data.Dataset", map_ref: "ray.ObjectRef",
+                 batch_size: int | None) -> "ray.data.Dataset":
+    """One filtered pass: the signature rows of the docs in the broadcast
+    cluster map ``map_ref``, as :func:`_members` gives them."""
+    return signatures.map_batches(lambda b: _members(b, *ray.get(map_ref)),
+                                  batch_format="pyarrow", batch_size=batch_size)
 
 
 def _broadcast_stamp(
@@ -386,16 +409,18 @@ def assign_clusters(
     if mode == "join":
         return _assign_clusters_join(signatures, clusters, keep_columns)
     map_ref = ray.put(id_map(_collect(clusters, _EMPTY_CLUSTERS), "doc_id", "cluster_id"))
-    members = signatures.map_batches(
-        lambda b: _members(b, *ray.get(map_ref)), batch_format="pyarrow", batch_size=8192
-    )
+    members = _member_rows(signatures, map_ref, batch_size=8192)
     canon = _collect(sorted_group_apply(members, "cluster_id", canonical_members), _EMPTY_CANON)
     return _broadcast_stamp(signatures, map_ref, canon, keep_columns, batch_size=8192)
 
 
 # ---------------------------------------------------------------------------
-# driver fast path: verify + cluster + canonical pick on the driver
+# driver path: verify, cluster and canonical pick on the driver
 # ---------------------------------------------------------------------------
+
+# pairs verified per numpy pass: two (chunk × K) uint32 gathers of ~8 MB at
+# K=128 instead of two corpus-of-pairs-sized ones
+_VERIFY_CHUNK = 1 << 14
 
 
 def _jw_pairs_parallel(t1: list[str], t2: list[str], chunk: int = 256) -> np.ndarray:
@@ -418,13 +443,15 @@ def _jw_pairs_parallel(t1: list[str], t2: list[str], chunk: int = 256) -> np.nda
 
 def _verify_on_driver(
     src: np.ndarray, dst: np.ndarray, slim: pa.Table, config: NearDupConfig
-) -> np.ndarray:
-    """Keep-mask over the (src, dst) pairs: the exact metric, vectorized
-    over the slim signature slice."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep-mask, score) over the (src, dst) pairs: the exact metric of
+    ``verify_edges`` — matches/K, or 1 − hamming/64 — vectorized over the
+    slim signature slice, minhash in chunks of ``_VERIFY_CHUNK`` pairs.
+    An integer count divided by K is bit-equal to ``.mean(axis=1)``."""
     from dedupe_ray.functions.metrics import hamming64
 
     if len(src) == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
     ids = slim.column("doc_id").to_numpy(zero_copy_only=False)
     order = np.argsort(ids, kind="stable")
     ra = order[np.searchsorted(ids[order], src)]
@@ -432,31 +459,35 @@ def _verify_on_driver(
     cfg = config.signature()
     if isinstance(cfg, SimHashConfig):
         sim = slim.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        keep = hamming64(sim[ra], sim[rb]) <= cfg.threshold
+        d = hamming64(sim[ra], sim[rb])
+        keep = d <= cfg.threshold
+        score = 1.0 - np.asarray(d, dtype=np.float64) / 64.0
     else:
+        k = config.minhash.num_perms
         flat = slim.column("minhash").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        mh = flat.reshape(slim.num_rows, config.minhash.num_perms)
-        keep = (mh[ra] == mh[rb]).mean(axis=1) >= cfg.threshold
+        mh = flat.reshape(slim.num_rows, k)
+        score = np.empty(len(src), dtype=np.float64)
+        for i in range(0, len(src), _VERIFY_CHUNK):
+            j = slice(i, i + _VERIFY_CHUNK)
+            score[j] = np.count_nonzero(mh[ra[j]] == mh[rb[j]], axis=1)
+        score /= k
+        keep = score >= cfg.threshold
     kidx = np.flatnonzero(keep)
     if config.jaro_winkler_min is not None and "text" in slim.column_names and len(kidx):
         texts = slim.column("text").to_pylist()
         t1 = [(texts[ra[k]] or "")[:512] for k in kidx]
         t2 = [(texts[rb[k]] or "")[:512] for k in kidx]
         keep[kidx[_jw_pairs_parallel(t1, t2) < config.jaro_winkler_min]] = False
-    return keep
+    return keep, score
 
 
-def _near_duplicates_driver_path(
-    sigs: "ray.data.Dataset",
-    cand: "ray.data.Dataset",
-    config: NearDupConfig,
-    keep_columns: list[str] | None,
-) -> "ray.data.Dataset":
-    """Small-candidate fast path: ONE distributed pass filters signatures of
-    candidate docs to the driver; verification, union-find and the canonical
-    pick run driver-side on that slice; the broadcast stamp finishes. Total
-    dataset executions after banding: 2 (slim filter + stamp) — the
-    all-pairs work still happened distributedly in the banding sort."""
+def _driver_edges(
+    cand: "ray.data.Dataset", sigs: "ray.data.Dataset", config: NearDupConfig
+) -> tuple[pa.Table, pa.Table]:
+    """Step 3 on the driver: the candidates collected and made distinct,
+    ONE distributed pass filtering the signatures to the candidate docs,
+    then the exact verify. → (edges (src, dst, score) as ``verify_edges``
+    gives them, the slim signature rows — kept for the canonical pick)."""
     # lexsort-distinct ≈ 3× np.unique(axis=0) on dup-heavy corpora
     pairs = _collect(cand, _EMPTY_PAIRS)
     src = pairs.column("src").to_numpy(zero_copy_only=False)
@@ -475,14 +506,107 @@ def _near_duplicates_driver_path(
 
     slim = _collect(sigs.map_batches(_slim, batch_format="pyarrow", batch_size=None),
                     pa.table({"doc_id": pa.array([], pa.int64())}))
-    keep = _verify_on_driver(src, dst, slim, config)
-    nodes, roots = id_map(
-        union_find_local(pa.table({"src": pa.array(src[keep], pa.int64()),
-                                   "dst": pa.array(dst[keep], pa.int64())})),
-        "doc_id", "cluster_id",
-    )
-    canon = canonical_members(_members(slim, nodes, roots))
-    return _broadcast_stamp(sigs, ray.put((nodes, roots)), canon, keep_columns, batch_size=None)
+    keep, score = _verify_on_driver(src, dst, slim, config)
+    return pa.table({"src": pa.array(src[keep], pa.int64()),
+                     "dst": pa.array(dst[keep], pa.int64()),
+                     "score": pa.array(score[keep], pa.float64())}), slim
+
+
+def _driver_clusters(
+    edges: pa.Table, sigs: "ray.data.Dataset", slim: pa.Table | None
+) -> pa.Table:
+    """Step 4 and the canonical pick on the driver → (doc_id, cluster_id,
+    is_canonical) for every edge-involved doc. The members' (warc_ts, url)
+    come from the edges stage's slim rows, or — when that stage was resumed
+    from its checkpoint — from one filtered pass over the signatures."""
+    clusters = union_find_local(edges)
+    nodes, roots = id_map(clusters, "doc_id", "cluster_id")
+    if slim is None:
+        members = _collect(_member_rows(sigs, ray.put((nodes, roots)), batch_size=None),
+                           _EMPTY_CLUSTERS)
+    else:
+        members = _members(slim, nodes, roots)
+    canon = canonical_members(members).column("canonical_doc_id").to_numpy()
+    doc = clusters.column("doc_id").to_numpy(zero_copy_only=False)
+    return clusters.append_column("is_canonical", pa.array(np.isin(doc, canon), pa.bool_()))
+
+
+def _as_table(x: "pa.Table | ray.data.Dataset", empty: pa.Table) -> pa.Table:
+    return x if isinstance(x, pa.Table) else _collect(x, empty)
+
+
+def _run_now(name: str, fn, **_) -> "pa.Table | ray.data.Dataset":
+    """The stage wrapper of an uncheckpointed run: call the stage."""
+    return fn()
+
+
+def neardup_stages(
+    sigs: "ray.data.Dataset",
+    n_sigs: int,
+    config: NearDupConfig,
+    stage=_run_now,
+    mode: str = "auto",
+    keep_columns: list[str] | None = None,
+    stamp_batch_size: int | None = None,
+) -> "ray.data.Dataset":
+    """Steps 2-5 over the signatures as the stages ``edges``, ``clusters``
+    and ``assignment`` — the ONE stage list of ``near_duplicates`` and of
+    the checkpointed runner. ``stage(name, fn, upstream=..., extra_metrics=...,
+    schema=...)`` runs each: :func:`_run_now` for ``near_duplicates``,
+    ``CheckpointedRun.stage`` for the runner (which may return a stage's
+    checkpoint as a Dataset where ``fn`` returned a table).
+
+    The edges stage picks the path: ``mode="auto"`` takes the driver path
+    when the candidate count is ≤ ``config.cc_local_max_edges``. It records
+    ``path`` and ``candidates`` in ``extra_metrics`` (the runner's lineage;
+    a resumed stage fills them back from it). Driver path: verify, cluster
+    and canonical pick on the driver, driver-side tables as the edges and
+    clusters outputs, the broadcast stamp with ``stamp_batch_size``.
+    Distributed path: ``verified_edges`` → ``cluster_edges`` →
+    ``assign_clusters``."""
+    info: dict = {}
+    slim = None  # the driver path's slim signature rows, this run only
+
+    def _edges():
+        nonlocal slim
+        cand = band_candidates(sigs, config, n_sigs)
+        n_cand = cand.count()
+        path = mode
+        if mode == "auto":
+            path = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
+            logger.info("neardup auto: %d candidates → %s path", n_cand, path)
+        info.update(path=path, candidates=n_cand)
+        if path == "distributed":
+            return verified_edges(cand, sigs, config)
+        edges, slim = _driver_edges(cand, sigs, config)
+        return edges
+
+    edges = stage("edges", _edges, upstream=["signatures"], extra_metrics=info,
+                  schema=_EMPTY_EDGES.schema)
+    # a checkpoint from before the path was recorded came from the
+    # distributed stages
+    if info.get("path", "distributed") == "distributed":
+        clusters = stage("clusters", lambda: cluster_edges(edges.materialize(), config),
+                         upstream=["edges"], schema=_EMPTY_CLUSTERS.schema)
+        return stage("assignment",
+                     lambda: assign_clusters(sigs, clusters, keep_columns=keep_columns),
+                     upstream=["signatures", "clusters"], schema=_EMPTY_OUTPUT.schema)
+
+    clusters = stage("clusters",
+                     lambda: _driver_clusters(_as_table(edges, _EMPTY_EDGES), sigs, slim),
+                     upstream=["edges"])
+
+    def _assignment():
+        cl = _as_table(clusters, _EMPTY_DRIVER_CLUSTERS)
+        nodes, roots = id_map(cl, "doc_id", "cluster_id")
+        is_canon = cl.column("is_canonical")
+        canon = pa.table({"cluster_id": cl.column("cluster_id").filter(is_canon),
+                          "canonical_doc_id": cl.column("doc_id").filter(is_canon)})
+        return _broadcast_stamp(sigs, ray.put((nodes, roots)), canon, keep_columns,
+                                batch_size=stamp_batch_size)
+
+    return stage("assignment", _assignment, upstream=["signatures", "clusters"],
+                 schema=_EMPTY_OUTPUT.schema)
 
 
 def near_duplicates(
@@ -508,12 +632,4 @@ def near_duplicates(
     n_sigs = sigs.count()
     if n_sigs == 0:
         return ray.data.from_arrow(_EMPTY_OUTPUT)
-    cand = band_candidates(sigs, config, n_sigs)
-    if mode == "auto":
-        n_cand = cand.count()
-        mode = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
-        logger.info("near_duplicates auto: %d candidates → %s path", n_cand, mode)
-    if mode == "driver":
-        return _near_duplicates_driver_path(sigs, cand, config, keep_columns)
-    clusters = cluster_edges(verified_edges(cand, sigs, config), config)
-    return assign_clusters(sigs, clusters, keep_columns=keep_columns)
+    return neardup_stages(sigs, n_sigs, config, mode=mode, keep_columns=keep_columns)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-import ray.data
+import pyarrow as pa
 
 from dedupe_ray.config import NearDupConfig
-from dedupe_ray.pipelines.neardup import (
-    assign_clusters, cluster_edges, match_edges, signatures_dataset,
-)
+from dedupe_ray.fixtures.pages import PAGES_SCHEMA
+from dedupe_ray.pipelines.neardup import neardup_stages, signatures_dataset, signatures_schema
+from dedupe_ray.sources import read_pages
 from dedupe_ray.state.checkpoint import CheckpointedRun
 
 __all__ = ["run_neardup_checkpointed"]
@@ -43,12 +43,19 @@ def run_neardup_checkpointed(
     """read input parquet → checkpointed signatures / edges / clusters /
     final assignment under ``out_root``. Returns the run metrics.
 
+    After signing it runs ``near_duplicates``' stage list
+    (``neardup_stages``) with each stage committed as a checkpoint; the
+    ``edges`` lineage records the path taken (``"driver"`` below the
+    ``cc_local_max_edges`` candidate gate, else ``"distributed"``) and the
+    candidate count, and a resumed run follows the recorded path.
+
     ``quarantine=True`` routes rows whose extraction produced no text to a
     ``quarantine`` checkpoint instead of signing them (drop-and-continue,
     /root/reference/dedupe.go:55-58, but with the dropped records kept
     auditable instead of discarded)."""
     config = config or NearDupConfig()
     run = CheckpointedRun(out_root, config.config_hash(), _input_fingerprint(input_paths))
+    sig_schema = signatures_schema(config, extract)
 
     if extract and quarantine:
         import pyarrow.compute as pc
@@ -56,8 +63,6 @@ def run_neardup_checkpointed(
         from dedupe_ray.stages.extract import ExtractText
 
         def _extracted():
-            from dedupe_ray.sources import read_pages
-
             return read_pages(list(input_paths)).map_batches(
                 lambda b: ExtractText(mark_quarantine=True)(b),
                 batch_format="pyarrow", batch_size=None,
@@ -70,6 +75,7 @@ def run_neardup_checkpointed(
                 .select(["url", "warc_ts"]),
                 batch_format="pyarrow",
             ),
+            schema=pa.schema([PAGES_SCHEMA.field("url"), PAGES_SCHEMA.field("warc_ts")]),
         )
         sigs = run.stage(
             "signatures",
@@ -83,30 +89,20 @@ def run_neardup_checkpointed(
                 extract=False,
             ),
             upstream=["quarantine"],
+            schema=sig_schema,
         )
     else:
-        from dedupe_ray.sources import read_pages
-
         sigs = run.stage(
             "signatures",
             lambda: signatures_dataset(read_pages(list(input_paths)), config,
                                        extract=extract),
+            schema=sig_schema,
         )
-    # the flagship stage list of pipelines/neardup.py, one checkpoint each
-    edges = run.stage(
-        "edges",
-        # row count from the signatures checkpoint's lineage sidecar (or its
-        # parquet footers) — the metadata path: no materialize, no
-        # double-execution of the checkpoint read (VERDICT r4 #6)
-        lambda: match_edges(sigs, config, n_rows=run.stage_rows("signatures")),
-        upstream=["signatures"],
-    )
-    clusters = run.stage(
-        "clusters", lambda: cluster_edges(edges.materialize(), config), upstream=["edges"]
-    )
-    run.stage(
-        "assignment", lambda: assign_clusters(sigs, clusters),
-        upstream=["signatures", "clusters"],
-    )
+    # the row count from the signatures lineage sidecar (or its parquet
+    # footers) sizes the band bundles — the metadata path: no materialize,
+    # no double-execution of the checkpoint read (VERDICT r4 #6). The
+    # assignment keeps the 8192-row stamp batches of the distributed path.
+    neardup_stages(sigs, run.stage_rows("signatures"), config, stage=run.stage,
+                   stamp_batch_size=8192)
     run.write_run_manifest()
     return run.metrics

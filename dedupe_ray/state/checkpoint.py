@@ -13,8 +13,9 @@ lineage + metrics"). Layout:
                                       of the temp dir makes it the commit
                                       marker)
 
-``stage(name, fn)`` runs ``fn`` → Dataset → write_parquet, or skips and
-re-reads when a matching _LINEAGE.json (same config hash + same upstream
+``stage(name, fn)`` runs ``fn`` → Dataset → write_parquet (or a small
+driver-side ``pa.Table`` → one ``pq.write_table``), or skips and re-reads
+when a matching _LINEAGE.json (same config hash + same upstream
 fingerprint) already exists. Writes go to ``<stage>.tmp-<pid>`` and are
 renamed into place, so a crashed writer can never be mistaken for a
 finished stage.
@@ -22,11 +23,15 @@ finished stage.
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import os
 import shutil
 import time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -52,36 +57,36 @@ class CheckpointedRun:
     def _lineage_path(self, name: str) -> str:
         return os.path.join(self._stage_dir(name), _LINEAGE)
 
+    def _lineage(self, name: str) -> dict | None:
+        """A stage's lineage sidecar, or None when absent or unreadable."""
+        try:
+            with open(self._lineage_path(name)) as f:
+                return json.load(f)
+        except (OSError, json.JSONDecodeError):
+            return None
+
     def stage_rows(self, name: str) -> int | None:
         """Row count of a finished stage from its lineage sidecar, falling
         back to the checkpoint's parquet footers — metadata only, never
         executes a Dataset. Lets downstream sizing decisions (e.g.
         ``match_edges`` band bundling) avoid materializing the stage read."""
-        try:
-            with open(self._lineage_path(name)) as f:
-                rows = json.load(f).get("rows")
-            if isinstance(rows, int):
-                return rows
-        except (OSError, json.JSONDecodeError):
-            pass
+        rows = (self._lineage(name) or {}).get("rows")
+        if isinstance(rows, int):
+            return rows
         from dedupe_ray.sources.pages import parquet_row_count
 
         d = self._stage_dir(name)
         return parquet_row_count(d) if os.path.isdir(d) else None
 
     def completed(self, name: str, upstream: list[str]) -> bool:
-        p = self._lineage_path(name)
-        if not os.path.exists(p):
-            return False
-        try:
-            with open(p) as f:
-                lin = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            return False
-        return (
+        """A matching lineage, and no upstream stage recomputed in this run
+        (the checkpoint was built from that stage's previous output)."""
+        lin = self._lineage(name)
+        return lin is not None and (
             lin.get("config_hash") == self.config_hash
             and lin.get("input_fingerprint") == self.input_fingerprint
             and lin.get("upstream") == upstream
+            and all(u not in self.metrics or self.metrics[u].get("resumed") for u in upstream)
         )
 
     def stage(
@@ -91,48 +96,52 @@ class CheckpointedRun:
         upstream: list[str] | None = None,
         extra_metrics: dict | None = None,
         partition_cols: list[str] | None = None,
-    ) -> "ray.data.Dataset":
-        """Run (or resume) one stage. ``fn() -> Dataset``; the result is
-        written to partitioned parquet and re-read, so downstream stages
-        consume the checkpoint, not the live lineage. ``partition_cols``
-        hive-partitions the stage output (one directory per value) so later
-        consumers can PRUNE whole partitions by path."""
+        schema: pa.Schema | None = None,
+    ) -> "ray.data.Dataset | pa.Table":
+        """Run (or resume) one stage.
+
+        ``fn() -> Dataset``: the result is written to partitioned parquet
+        and re-read, so downstream stages consume the checkpoint, not the
+        live lineage. ``partition_cols`` hive-partitions it (one directory
+        per value) so later consumers can PRUNE whole partitions by path.
+        A Dataset that yields no rows commits one empty file with the
+        declared ``schema`` (a lazy Dataset's own schema would cost a
+        hidden ``limit(1)`` execution), else an ``__empty__`` marker column.
+
+        ``fn() -> pa.Table`` (a small driver-side stage output): written
+        with one ``pq.write_table`` and returned as is — no Ray write, no
+        re-read.
+
+        ``extra_metrics`` is merged into the lineage after ``fn`` returns
+        (``fn`` may fill it); on resume it is filled back from the recorded
+        lineage, so a run's decisions (e.g. the path the edges stage took)
+        are read, not recomputed. A resumed stage returns its checkpoint as
+        a Dataset."""
         upstream = upstream or []
         final = self._stage_dir(name)
         if self.completed(name, upstream):
             logger.info("stage %s: resume from checkpoint %s", name, final)
             self.metrics[name] = {"resumed": True}
+            if extra_metrics is not None:
+                extra_metrics.update(self._lineage(name) or {})
             return ray.data.read_parquet(final)
         tmp = f"{final}.tmp-{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
         t0 = time.monotonic()
-        ds = fn()
-        if partition_cols:
-            ds.write_parquet(tmp, partition_cols=partition_cols)
+        out = fn()
+        if isinstance(out, pa.Table):
+            os.makedirs(tmp)
+            pq.write_table(out, os.path.join(tmp, "part-00000.parquet"))
         else:
-            ds.write_parquet(tmp)
-        # a zero-row dataset writes NO files — commit an explicit empty
-        # parquet so the checkpoint stays readable (schema preserved)
-        os.makedirs(tmp, exist_ok=True)
-        import glob as _glob
-
-        if not _glob.glob(os.path.join(tmp, "**", "*.parquet"), recursive=True):
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            schema = ds.schema()
-            arrow_schema = getattr(schema, "base_schema", None) if schema else None
-            empty = (
-                pa.table(
-                    {f.name: pa.nulls(0, f.type) for f in arrow_schema}
-                )
-                if arrow_schema is not None
-                else pa.table({"__empty__": pa.nulls(0, pa.int8())})
-            )
-            pq.write_table(empty, os.path.join(tmp, "empty.parquet"))
+            out.write_parquet(tmp, partition_cols=partition_cols)
+            # a zero-row dataset writes NO files — commit an explicit empty
+            # parquet so the checkpoint stays readable
+            os.makedirs(tmp, exist_ok=True)
+            if not glob.glob(os.path.join(tmp, "**", "*.parquet"), recursive=True):
+                schema = schema or pa.schema([("__empty__", pa.int8())])
+                pq.write_table(schema.empty_table(), os.path.join(tmp, "empty.parquet"))
         wall = time.monotonic() - t0
-        out = ray.data.read_parquet(tmp)
-        n_rows = out.count()
+        n_rows = out.num_rows if isinstance(out, pa.Table) else ray.data.read_parquet(tmp).count()
         lineage = {
             "stage": name,
             "config_hash": self.config_hash,
@@ -149,7 +158,7 @@ class CheckpointedRun:
         os.rename(tmp, final)
         self.metrics[name] = lineage
         logger.info("stage %s: %d rows in %.2fs → %s", name, n_rows, wall, final)
-        return ray.data.read_parquet(final)
+        return out if isinstance(out, pa.Table) else ray.data.read_parquet(final)
 
     def write_run_manifest(self) -> None:
         with open(os.path.join(self.root, "_RUN.json"), "w") as f:

@@ -1,0 +1,186 @@
+"""The checkpointed runner behind ``cli dedup`` runs ``near_duplicates``'
+stage list on both sides of the candidate gate: the path it takes is
+recorded in the ``edges`` lineage, a resume at any stage boundary gives the
+same assignment, the driver verify equals ``verify_edges``, and neither the
+runner nor the CLI reading commands run a hidden partial execution."""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from dedupe_ray.config import NearDupConfig
+from dedupe_ray.fixtures.pages import generate_pages
+
+STAGES = ("signatures", "edges", "clusters", "assignment")
+
+
+@pytest.fixture(scope="module")
+def pages_parquet(tmp_path_factory):
+    d = tmp_path_factory.mktemp("runner_pages")
+    pq.write_table(generate_pages(n_pages=300, seed=42).pages, str(d / "pages.parquet"))
+    return str(d / "pages.parquet")
+
+
+def _assignment(out: str) -> pa.Table:
+    t = pq.read_table(os.path.join(out, "assignment"))
+    return t.sort_by([("doc_id", "ascending"), ("url", "ascending")])
+
+
+def _no_limit(monkeypatch):
+    import ray.data
+
+    def _raise(self, *a, **k):
+        raise AssertionError("hidden Dataset.limit execution")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", _raise)
+
+
+def test_runner_records_the_path_both_sides_of_the_gate(ray_session, pages_parquet, tmp_path):
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+
+    got = {}
+    for name, cfg in (("driver", NearDupConfig()),
+                      ("distributed", NearDupConfig(cc_local_max_edges=0))):
+        out = str(tmp_path / name)
+        m = run_neardup_checkpointed([pages_parquet], out, cfg)
+        assert m["edges"]["path"] == name
+        assert m["edges"]["candidates"] > 0
+        with open(os.path.join(out, "_RUN.json")) as f:
+            assert json.load(f)["stages"]["edges"]["path"] == name
+        got[name] = _assignment(out)
+    assert got["driver"].num_rows == 300
+    assert got["driver"].equals(got["distributed"])
+
+
+@pytest.mark.parametrize("gate", [None, 0], ids=["driver", "distributed"])
+def test_resume_at_every_stage_boundary(ray_session, pages_parquet, tmp_path, monkeypatch, gate):
+    """Delete the tail of the stage list, rerun: the assignment is the
+    uninterrupted run's. A resumed ``edges`` stage follows its recorded path
+    without banding again; the driver path then refetches the canonical
+    pick's members from the signatures checkpoint."""
+    from dedupe_ray.pipelines import neardup
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+
+    cfg = NearDupConfig() if gate is None else NearDupConfig(cc_local_max_edges=gate)
+    out = str(tmp_path / "run")
+    path = run_neardup_checkpointed([pages_parquet], out, cfg)["edges"]["path"]
+    assert path == ("driver" if gate is None else "distributed")
+    want = _assignment(out)
+
+    real_band_candidates = neardup.band_candidates
+    for n_deleted in (1, 2, 3):
+        deleted = STAGES[-n_deleted:]
+        for st in deleted:
+            shutil.rmtree(os.path.join(out, st))
+        if "edges" not in deleted:
+            def _no_banding(*a, **k):
+                raise AssertionError("resumed edges stage banded again")
+            monkeypatch.setattr(neardup, "band_candidates", _no_banding)
+        else:
+            monkeypatch.setattr(neardup, "band_candidates", real_band_candidates)
+        m = run_neardup_checkpointed([pages_parquet], out, cfg)
+        for st in STAGES:
+            assert bool(m[st].get("resumed")) == (st not in deleted), (deleted, st)
+        assert _assignment(out).equals(want), deleted
+        with open(os.path.join(out, "edges", "_LINEAGE.json")) as f:
+            assert json.load(f)["path"] == path
+
+
+def test_recomputed_stage_recomputes_its_downstream(ray_session, pages_parquet, tmp_path):
+    """A checkpoint built from an upstream stage's previous output does not
+    resume once that stage is recomputed: here a ``clusters`` checkpoint of
+    another format (no ``is_canonical``, as the distributed path and older
+    runs write it) next to a recomputed driver-path ``edges``."""
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+
+    out = str(tmp_path / "run")
+    run_neardup_checkpointed([pages_parquet], out, NearDupConfig())
+    want = _assignment(out)
+    part = os.path.join(out, "clusters", "part-00000.parquet")
+    pq.write_table(pq.read_table(part).drop_columns(["is_canonical"]), part)
+    shutil.rmtree(os.path.join(out, "edges"))
+    m = run_neardup_checkpointed([pages_parquet], out, NearDupConfig())
+    assert m["signatures"].get("resumed")
+    assert not any(m[st].get("resumed") for st in ("edges", "clusters", "assignment"))
+    assert _assignment(out).equals(want)
+
+
+def _synthetic_signatures(algo: str, n_docs: int, seed: int = 5) -> pa.Table:
+    """Docs in groups around a base signature, each perturbed by a random
+    amount, so that the pairs straddle the threshold."""
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, 12, n_docs)
+    ids = pa.array(np.arange(n_docs, dtype=np.int64) * 3 + 1, pa.int64())
+    if algo == "simhash":
+        base = rng.integers(0, 2**63, 12, dtype=np.int64).astype(np.uint64)
+        sim = base[group]
+        for i in range(n_docs):
+            for b in rng.choice(64, rng.integers(0, 16), replace=False):
+                sim[i] ^= np.uint64(1) << np.uint64(b)
+        return pa.table({"doc_id": ids, "simhash": pa.array(sim, pa.uint64())})
+    k = NearDupConfig().minhash.num_perms
+    base = rng.integers(0, 2**32, (12, k), dtype=np.uint64).astype(np.uint32)
+    mh = base[group]
+    noise = rng.random((n_docs, k)) < rng.random((n_docs, 1)) * 0.6
+    mh[noise] = rng.integers(0, 2**32, int(noise.sum()), dtype=np.uint64).astype(np.uint32)
+    flat = pa.array(mh.ravel(), pa.uint32())
+    return pa.table({"doc_id": ids, "minhash": pa.FixedSizeListArray.from_arrays(flat, k)})
+
+
+@pytest.mark.parametrize("algo", ["minhash", "simhash"])
+def test_driver_verify_equals_verify_edges(ray_session, algo):
+    import ray.data
+
+    from dedupe_ray.pipelines.neardup import _VERIFY_CHUNK, _driver_edges
+    from dedupe_ray.stages.candidates import verify_edges
+
+    sigs = _synthetic_signatures(algo, 230)
+    ids = sigs.column("doc_id").to_numpy()
+    a, b = np.triu_indices(len(ids), 1)
+    cands = pa.table({"src": pa.array(ids[a]), "dst": pa.array(ids[b])})
+    assert cands.num_rows > _VERIFY_CHUNK  # the chunk edges are crossed
+    cfg = NearDupConfig(algo=algo)
+    order = [("src", "ascending"), ("dst", "ascending")]
+    want = pa.concat_tables(list(verify_edges(
+        ray.data.from_arrow(cands), ray.data.from_arrow(sigs), cfg
+    ).iter_batches(batch_size=None, batch_format="pyarrow"))).sort_by(order)
+    got, _ = _driver_edges(ray.data.from_arrow(cands), ray.data.from_arrow(sigs), cfg)
+    assert 0 < want.num_rows < cands.num_rows
+    assert got.sort_by(order).equals(want)
+
+
+def test_quarantine_run_without_hidden_limit(ray_session, pages_parquet, tmp_path, monkeypatch):
+    """A zero-row quarantine stage commits its declared schema: no
+    ``schema()`` probe, so no hidden ``limit(1)`` execution."""
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+
+    _no_limit(monkeypatch)
+    out = str(tmp_path / "q")
+    m = run_neardup_checkpointed([pages_parquet], out, NearDupConfig(), quarantine=True)
+    assert m["quarantine"]["rows"] == 0
+    assert m["assignment"]["rows"] == 300
+    assert pq.read_table(os.path.join(out, "quarantine")).column_names == ["url", "warc_ts"]
+
+
+def test_cli_compare_and_stats_without_limit(ray_session, pages_parquet, tmp_path,
+                                             monkeypatch, capsys):
+    from dedupe_ray.cli import main
+
+    _no_limit(monkeypatch)
+    url = pq.read_table(pages_parquet, columns=["url"]).column("url")[7].as_py()
+    assert main(["compare", "--input", pages_parquet, "--target-url", url]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{url}\t1.0000" in lines
+    assert main(["compare", "--input", pages_parquet, "--target-url", "nope://x"]) == 2
+
+    assert main(["stats", "--input", pages_parquet]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split("\t")[0] == "url"
+    assert len(lines) == 1 + 50
