@@ -770,19 +770,19 @@ def local_oracle_sql() -> dict[str, str]:
             "lower(regexp_extract(nofrag, '^([^:]+)://', 1)) AS scheme, "
             "regexp_replace(nofrag, '^[^:]+://', '') AS rest FROM st), "
             "hp AS (SELECT *, regexp_replace("
-            "lower(regexp_extract(rest, '^([^/?#]*)', 1)), '^www\.', '') "
+            "lower(regexp_extract(rest, '^([^/?#]*)', 1)), '^www\\.', '') "
             "AS hostport, regexp_replace(rest, '^[^/?#]*', '') AS pathq "
             "FROM pieces), "
             "norm AS (SELECT doc_id, scheme, "
             "(CASE WHEN scheme = 'http' THEN regexp_replace(hostport, ':80$', '') "
             "WHEN scheme = 'https' THEN regexp_replace(hostport, ':443$', '') "
             "ELSE hostport END) AS host, "
-            "(CASE WHEN regexp_replace(regexp_replace(pathq, '\?.*$', ''), "
+            "(CASE WHEN regexp_replace(regexp_replace(pathq, '\\?.*$', ''), "
             "'(.+)/$', '\\1') = '' THEN '/' ELSE "
-            "regexp_replace(regexp_replace(pathq, '\?.*$', ''), '(.+)/$', '\\1') "
+            "regexp_replace(regexp_replace(pathq, '\\?.*$', ''), '(.+)/$', '\\1') "
             "END) AS path, "
             "array_to_string(list_sort(list_filter("
-            "string_split(regexp_extract(pathq, '\?(.*)$', 1), '&'), "
+            "string_split(regexp_extract(pathq, '\\?(.*)$', 1), '&'), "
             "x -> x <> '' AND NOT starts_with(x, 'utm_') "
             "AND NOT starts_with(x, 'fbclid') AND NOT starts_with(x, 'gclid')"
             ")), '&') AS canon_q FROM hp), "

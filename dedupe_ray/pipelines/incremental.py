@@ -11,8 +11,8 @@ shuffling the corpus. The increment is the small side:
      only corpus rows sharing a band with the increment survive (no corpus
      shuffle, no corpus materialization);
   3. candidate pairs within the union of (increment ∪ surviving corpus)
-     banded rows, then exact verification — the normal machinery on a small
-     dataset.
+     banded rows, then the flagship's verify gate — on the driver for an
+     increment-sized candidate list.
 
 Returns cross edges (new ↔ corpus), internal edges (new ↔ new), and a
 per-new-page verdict (duplicate_of corpus doc or fresh).
@@ -31,7 +31,9 @@ import ray.data
 from dedupe_ray.config import NearDupConfig
 from dedupe_ray.pipelines.neardup import signatures_dataset, signatures_schema
 from dedupe_ray.stages.banding import band_emitter
-from dedupe_ray.stages.candidates import candidate_edges, dedupe_edges, verify_edges
+from dedupe_ray.stages.candidates import (
+    _EMPTY_EDGES, _collect, candidate_edges, verify_candidates,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -79,13 +81,9 @@ def incremental_match(
     emit = band_emitter(config.signature())
 
     new_sigs = signatures_dataset(new_pages, config, extract=extract).materialize()
-    new_banded_tbl = pa.concat_tables(
-        list(
-            new_sigs.map_batches(emit, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"band_key": pa.array([], pa.uint64()),
-                      "doc_id": pa.array([], pa.int64())})]
+    new_banded_tbl = _collect(
+        new_sigs.map_batches(emit, batch_format="pyarrow", batch_size=None),
+        pa.table({"band_key": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}),
     )
     new_keys = np.unique(new_banded_tbl.column("band_key").to_numpy(zero_copy_only=False))
     keys_ref = ray.put(new_keys)
@@ -117,25 +115,12 @@ def incremental_match(
         _band_filter, batch_format="pyarrow", batch_size=None
     )
     banded_all = corpus_hits.union(ray.data.from_arrow(new_banded_tbl))
-    # global pair dedupe: candidate_edges only dedupes per block, so the same
-    # pair surviving in several bands could reach verification once per block
-    # — the verified-edge TABLE would then carry duplicate rows whose count
-    # depends on nondeterministic sort-partition boundaries (r4 finding)
-    cand = dedupe_edges(
-        candidate_edges(banded_all, config.max_bucket_size)
-    ).materialize()
-
-    # verification needs signatures from BOTH sides
-    all_sigs = corpus_signatures.union(new_sigs)
-    edges = pa.concat_tables(
-        list(
-            verify_edges(cand, all_sigs, config).iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow"
-            )
-        )
-        or [pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})]
-    )
+    cand = candidate_edges(banded_all, config.max_bucket_size).materialize()
+    # the flagship's verify gate over signatures from BOTH sides; either path
+    # makes the pairs globally distinct (candidate_edges dedupes per block
+    # only — duplicate edge rows would depend on sort-partition boundaries)
+    edges, _ = verify_candidates(cand, corpus_signatures.union(new_sigs), config)
+    edges = edges if isinstance(edges, pa.Table) else _collect(edges, _EMPTY_EDGES)
 
     new_ids = np.sort(
         np.concatenate(

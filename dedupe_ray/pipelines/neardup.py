@@ -19,9 +19,10 @@ the runner checkpoints one by one:
                                          cluster_id sort-merge join when the
                                          cluster map is too big to broadcast
 
-Below the candidate gate (``config.cc_local_max_edges``) the driver path
-runs steps 3-4 and the canonical pick on the driver over one slim filtered
-slice of the signatures, then stamps with the same broadcast map; above it
+Below the candidate gate (``config.cc_local_max_edges``, decided by
+``stages.candidates.verify_candidates``, the one verify gate of the near-dup
+family) the driver path runs steps 3-4 and the canonical pick on the driver
+over one signature slice, then stamps with the same broadcast map; above it
 steps 3-5 stay distributed. Every path picks canonicals with
 ``stages.clustering.canonical_members`` and looks cluster ids up with
 ``stages.clustering.cluster_lookup``.
@@ -49,10 +50,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from dedupe_ray.config import NearDupConfig, SimHashConfig
+from dedupe_ray.config import NearDupConfig
 from dedupe_ray.stages.banding import band_emitter
 from dedupe_ray.stages.candidates import (
-    _EMPTY_PAIRS, _distinct_pairs, candidate_edges, dedupe_edges, verify_edges,
+    _EMPTY_EDGES, _collect, candidate_edges, verify_candidates,
 )
 from dedupe_ray.stages.clustering import (
     canonical_members, cluster_lookup, connected_components, id_map, union_find_local,
@@ -71,8 +72,6 @@ __all__ = [
 # output of the stamp: these columns (where the input has them), then any
 # caller keep_columns
 _OUT_COLUMNS = ["url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
-_EMPTY_EDGES = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
 _EMPTY_CLUSTERS = pa.table({"doc_id": pa.array([], pa.int64()),
                             "cluster_id": pa.array([], pa.int64())})
 # the driver path's clusters table: the map plus the canonical pick
@@ -87,13 +86,6 @@ _EMPTY_OUTPUT = pa.table({
     "cluster_id": pa.nulls(0, pa.int64()),
     "is_canonical": pa.nulls(0, pa.bool_()),
 })
-
-
-def _collect(ds: "ray.data.Dataset", empty: pa.Table) -> pa.Table:
-    """A (small) dataset gathered on the driver as one table."""
-    return pa.concat_tables(
-        list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")) or [empty]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +186,10 @@ def verified_edges(
 ) -> "ray.data.Dataset":
     """candidates → distinct verified edges (src, dst, score). Materialized.
 
-    The distinct edge list is materialized because verify_edges consumes it
-    twice (id collection + scoring) and the upstream sort must not re-run."""
-    distinct = dedupe_edges(candidates).materialize()
-    return verify_edges(distinct, signatures, config).materialize()
+    The distributed side of the verify gate
+    (``stages.candidates.verify_candidates``): one global ``dedupe_edges``
+    sort, then the broadcast ``verify_edges``."""
+    return verify_candidates(candidates, signatures, config, mode="distributed")[0]
 
 
 def cluster_edges(edges: "ray.data.Dataset", config: NearDupConfig) -> "ray.data.Dataset":
@@ -398,8 +390,7 @@ def assign_clusters(
     ``mode="join"``: no broadcast at all — see :func:`_assign_clusters_join`
     for when the dup-involved slice exceeds the object store. ``auto`` picks
     join when the cluster map exceeds ``broadcast_max_rows`` (~1.6 GB of
-    (doc_id, cluster_id) pairs at the default), the same gating idea as
-    ``verify_edges_join``.
+    (doc_id, cluster_id) pairs at the default).
     """
     if mode == "auto":
         clusters = clusters.materialize()
@@ -415,101 +406,8 @@ def assign_clusters(
 
 
 # ---------------------------------------------------------------------------
-# driver path: verify, cluster and canonical pick on the driver
+# driver path: cluster and canonical pick on the driver
 # ---------------------------------------------------------------------------
-
-# pairs verified per numpy pass: two (chunk × K) uint32 gathers of ~8 MB at
-# K=128 instead of two corpus-of-pairs-sized ones
-_VERIFY_CHUNK = 1 << 14
-
-
-def _jw_pairs_parallel(t1: list[str], t2: list[str], chunk: int = 256) -> np.ndarray:
-    """Jaro-Winkler confirm for the driver path, fanned out as plain Ray
-    tasks when the pair list is big enough to matter (~0.6 ms/pair of CPU
-    for 512-char near-dups; a 10k-pair confirm would serialize ~6 s on the
-    driver otherwise). Chunks of ~256 pairs keep the ~50 ms/task dispatch
-    floor under 25% of task compute."""
-    from dedupe_ray.functions.metrics import jaro_winkler_pairs
-
-    n = len(t1)
-    if n <= chunk:
-        return jaro_winkler_pairs(t1, t2)
-    fn = ray.remote(jaro_winkler_pairs)
-    refs = [
-        fn.remote(t1[i : i + chunk], t2[i : i + chunk]) for i in range(0, n, chunk)
-    ]
-    return np.concatenate(ray.get(refs))
-
-
-def _verify_on_driver(
-    src: np.ndarray, dst: np.ndarray, slim: pa.Table, config: NearDupConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(keep-mask, score) over the (src, dst) pairs: the exact metric of
-    ``verify_edges`` — matches/K, or 1 − hamming/64 — vectorized over the
-    slim signature slice, minhash in chunks of ``_VERIFY_CHUNK`` pairs.
-    An integer count divided by K is bit-equal to ``.mean(axis=1)``."""
-    from dedupe_ray.functions.metrics import hamming64
-
-    if len(src) == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
-    ids = slim.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.argsort(ids, kind="stable")
-    ra = order[np.searchsorted(ids[order], src)]
-    rb = order[np.searchsorted(ids[order], dst)]
-    cfg = config.signature()
-    if isinstance(cfg, SimHashConfig):
-        sim = slim.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        d = hamming64(sim[ra], sim[rb])
-        keep = d <= cfg.threshold
-        score = 1.0 - np.asarray(d, dtype=np.float64) / 64.0
-    else:
-        k = config.minhash.num_perms
-        flat = slim.column("minhash").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        mh = flat.reshape(slim.num_rows, k)
-        score = np.empty(len(src), dtype=np.float64)
-        for i in range(0, len(src), _VERIFY_CHUNK):
-            j = slice(i, i + _VERIFY_CHUNK)
-            score[j] = np.count_nonzero(mh[ra[j]] == mh[rb[j]], axis=1)
-        score /= k
-        keep = score >= cfg.threshold
-    kidx = np.flatnonzero(keep)
-    if config.jaro_winkler_min is not None and "text" in slim.column_names and len(kidx):
-        texts = slim.column("text").to_pylist()
-        t1 = [(texts[ra[k]] or "")[:512] for k in kidx]
-        t2 = [(texts[rb[k]] or "")[:512] for k in kidx]
-        keep[kidx[_jw_pairs_parallel(t1, t2) < config.jaro_winkler_min]] = False
-    return keep, score
-
-
-def _driver_edges(
-    cand: "ray.data.Dataset", sigs: "ray.data.Dataset", config: NearDupConfig
-) -> tuple[pa.Table, pa.Table]:
-    """Step 3 on the driver: the candidates collected and made distinct,
-    ONE distributed pass filtering the signatures to the candidate docs,
-    then the exact verify. → (edges (src, dst, score) as ``verify_edges``
-    gives them, the slim signature rows — kept for the canonical pick)."""
-    # lexsort-distinct ≈ 3× np.unique(axis=0) on dup-heavy corpora
-    pairs = _collect(cand, _EMPTY_PAIRS)
-    src = pairs.column("src").to_numpy(zero_copy_only=False)
-    dst = pairs.column("dst").to_numpy(zero_copy_only=False)
-    if len(src):
-        src, dst = _distinct_pairs(src, dst)
-
-    sig_col = "simhash" if isinstance(config.signature(), SimHashConfig) else "minhash"
-    want_ref = ray.put(np.unique(np.r_[src, dst]))
-    extra = ("warc_ts", "url") + (("text",) if config.jaro_winkler_min is not None else ())
-
-    def _slim(batch: pa.Table) -> pa.Table:
-        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), ray.get(want_ref))
-        cols = ["doc_id", sig_col] + [c for c in extra if c in batch.column_names]
-        return batch.select(cols).filter(pa.array(mask))
-
-    slim = _collect(sigs.map_batches(_slim, batch_format="pyarrow", batch_size=None),
-                    pa.table({"doc_id": pa.array([], pa.int64())}))
-    keep, score = _verify_on_driver(src, dst, slim, config)
-    return pa.table({"src": pa.array(src[keep], pa.int64()),
-                     "dst": pa.array(dst[keep], pa.int64()),
-                     "score": pa.array(score[keep], pa.float64())}), slim
 
 
 def _driver_clusters(
@@ -517,7 +415,7 @@ def _driver_clusters(
 ) -> pa.Table:
     """Step 4 and the canonical pick on the driver → (doc_id, cluster_id,
     is_canonical) for every edge-involved doc. The members' (warc_ts, url)
-    come from the edges stage's slim rows, or — when that stage was resumed
+    come from the edges stage's signature slice, or — when that stage was resumed
     from its checkpoint — from one filtered pass over the signatures."""
     clusters = union_find_local(edges)
     nodes, roots = id_map(clusters, "doc_id", "cluster_id")
@@ -556,8 +454,10 @@ def neardup_stages(
     ``CheckpointedRun.stage`` for the runner (which may return a stage's
     checkpoint as a Dataset where ``fn`` returned a table).
 
-    The edges stage picks the path: ``mode="auto"`` takes the driver path
-    when the candidate count is ≤ ``config.cc_local_max_edges``. It records
+    The edges stage picks the path through the verify gate
+    (``verify_candidates``, which ``mode`` is passed to): ``"auto"`` takes
+    the driver path when the candidate count is ≤
+    ``config.cc_local_max_edges``. It records
     ``path`` and ``candidates`` in ``extra_metrics`` (the runner's lineage;
     a resumed stage fills them back from it). Driver path: verify, cluster
     and canonical pick on the driver, driver-side tables as the edges and
@@ -565,20 +465,14 @@ def neardup_stages(
     Distributed path: ``verified_edges`` → ``cluster_edges`` →
     ``assign_clusters``."""
     info: dict = {}
-    slim = None  # the driver path's slim signature rows, this run only
+    slim = None  # the driver path's signature slice, this run only
 
     def _edges():
         nonlocal slim
         cand = band_candidates(sigs, config, n_sigs)
-        n_cand = cand.count()
-        path = mode
-        if mode == "auto":
-            path = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
-            logger.info("neardup auto: %d candidates → %s path", n_cand, path)
-        info.update(path=path, candidates=n_cand)
-        if path == "distributed":
-            return verified_edges(cand, sigs, config)
-        edges, slim = _driver_edges(cand, sigs, config)
+        # the slice carries (warc_ts, url) for the canonical pick
+        edges, slim = verify_candidates(cand, sigs, config, mode, extra=("warc_ts", "url"))
+        info.update(path="distributed" if slim is None else "driver", candidates=cand.count())
         return edges
 
     edges = stage("edges", _edges, upstream=["signatures"], extra_metrics=info,

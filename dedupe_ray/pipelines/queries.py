@@ -1608,6 +1608,7 @@ def incremental_match_docs(sf_dir: str, index_root: str | None = None):
         build_band_index,
         incremental_match_indexed,
     )
+    from dedupe_ray.pipelines.runner import _input_fingerprint
 
     cfg = NearDupConfig(algo="minhash")
     if _table_rows(sf_dir, "documents") == 0:
@@ -1625,9 +1626,7 @@ def incremental_match_docs(sf_dir: str, index_root: str | None = None):
     corpus = pages.map_batches(lambda b: _split(b, False), batch_format="pyarrow")
     increment = pages.map_batches(lambda b: _split(b, True), batch_format="pyarrow")
 
-    src = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(src)
-    fingerprint = f"{src}:{st.st_size}:{int(st.st_mtime)}"
+    fingerprint = _input_fingerprint([os.path.join(sf_dir, "documents.parquet")])
     if index_root is None:
         index_root = os.path.join(
             "/tmp", "dedupe_ray_index",
@@ -5120,12 +5119,11 @@ def media_neardup(sf_dir: str, threshold: int = 7):
     for every image. No SQL oracle (image decode is not SQL-expressible);
     the planted-group recovery is pinned by test instead. Small code tables
     band/verify/cluster driver-side through the distributed path's own pure
-    kernels (2 dataset executions total); big ones fall back to the
-    fully-distributed ``match_edges``."""
-    from dedupe_ray.functions.metrics import hamming64
+    kernels (``score_pairs`` verifies; 2 dataset executions total); big
+    ones fall back to the fully-distributed ``match_edges``."""
     from dedupe_ray.pipelines.neardup import match_edges
     from dedupe_ray.stages.banding import simhash_band_table
-    from dedupe_ray.stages.candidates import _emit_pairs_block
+    from dedupe_ray.stages.candidates import _emit_pairs_block, score_pairs
     from dedupe_ray.stages.clustering import cluster_lookup, id_map, union_find_local
     from dedupe_ray.stages.multimodal import media_feature_fn
 
@@ -5216,15 +5214,12 @@ def media_neardup(sf_dir: str, threshold: int = 7):
         )
         s = pairs.column("src").to_numpy(zero_copy_only=False)
         d = pairs.column("dst").to_numpy(zero_copy_only=False)
+        # doc_id-sorted, as score_pairs looks pairs up
+        o = np.argsort(tbl.column("doc_id").to_numpy(zero_copy_only=False), kind="stable")
+        tbl = tbl.take(pa.array(o, pa.int64()))
         ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-        codes = tbl.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        o = np.argsort(ids, kind="stable")
-        ids, codes = ids[o], codes[o]
-        if len(s):
-            dist = hamming64(codes[np.searchsorted(ids, s)],
-                             codes[np.searchsorted(ids, d)])
-            keep = dist <= threshold
-            s, d = s[keep], d[keep]
+        keep, _ = score_pairs(s, d, tbl, cfg)
+        s, d = s[keep], d[keep]
         clusters = union_find_local(
             pa.table({"src": pa.array(s, pa.int64()),
                       "dst": pa.array(d, pa.int64()),

@@ -8,6 +8,13 @@ the EXACT metric threshold — Hamming (simhash) or estimated Jaccard
 (minhash), optionally confirmed with Jaro-Winkler — mirroring
 ``HashType.Threshold`` semantics (/root/reference/hash/hash.go:29-39).
 
+Verification is written once: :func:`signature_slice` gathers the
+edge-involved signature rows, :func:`score_pairs` scores pairs against
+them, and :func:`verify_candidates` is the gate between the driver path and
+the distributed :func:`verify_edges`. Every verifier of the near-dup family
+(flagship, incremental match, embedding edges, media clusters, the join
+verify) scores through these.
+
 Skew (SURVEY.md §7.4): a bucket larger than ``max_bucket_size`` — web
 boilerplate collapsing thousands of pages into one band — is SALTED: its
 sorted member list is split into consecutive chunks of at most
@@ -26,15 +33,19 @@ import pyarrow.compute as pc
 
 import ray
 
-from dedupe_ray.config import MinHashConfig, NearDupConfig, SimHashConfig
+from dedupe_ray.config import NearDupConfig, SimHashConfig
 from dedupe_ray.functions.metrics import hamming64, jaro_winkler_pairs
 from dedupe_ray.stages.groupapply import sorted_group_apply
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["candidate_edges", "dedupe_edges", "verify_edges", "verify_edges_join"]
+__all__ = [
+    "candidate_edges", "dedupe_edges", "signature_slice", "score_pairs", "verify_edges",
+    "verify_candidates", "verify_edges_join",
+]
 
 _EMPTY_PAIRS = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
+_EMPTY_EDGES = _EMPTY_PAIRS.append_column("score", pa.array([], pa.float64()))
 
 
 def _emit_pairs_block(block: pa.Table, max_bucket_size: int) -> pa.Table:
@@ -132,89 +143,157 @@ def dedupe_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 # ---------------------------------------------------------------------------
-# verification
+# verification: one slice helper, one scoring kernel, one gate
 # ---------------------------------------------------------------------------
+
+# pairs scored per numpy pass: two (chunk × K) uint32 gathers of ~8 MB at
+# K=128 instead of two corpus-of-pairs-sized ones
+_VERIFY_CHUNK = 1 << 14
+# Jaro-Winkler pairs per Ray task: ~0.6 ms/pair of CPU for 512-char
+# near-dups, so ~0.15 s of compute keeps the ~50 ms dispatch floor < 25%
+_JW_TASK_PAIRS = 256
+# code points of each text the Jaro-Winkler confirm compares
+_JW_MAX_CHARS = 512
+
+
+def _collect(ds: "ray.data.Dataset", empty: pa.Table) -> pa.Table:
+    """A (small) dataset gathered on the driver as one table."""
+    return pa.concat_tables(
+        list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")) or [empty]
+    )
+
+
+def _one_array(col: pa.ChunkedArray) -> pa.Array:
+    """The column as one array — zero-copy when it already is one chunk
+    (``combine_chunks`` copies even then)."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _sig_column(config: NearDupConfig) -> str:
+    return "simhash" if isinstance(config.signature(), SimHashConfig) else "minhash"
 
 
 def _collect_edge_ids(edges: "ray.data.Dataset") -> np.ndarray:
     """Unique doc ids touched by any edge (streamed to the driver; bounded by
     2 × |edges|, which is tiny relative to the corpus)."""
-    ids, _ = _collect_edge_ids_count(edges)
-    return ids
+    parts = [
+        b.column(c).to_numpy(zero_copy_only=False)
+        for b in edges.iter_batches(batch_size=1 << 20, batch_format="pyarrow")
+        for c in ("src", "dst")
+    ]
+    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
 
-def _collect_edge_ids_count(edges: "ray.data.Dataset") -> tuple[np.ndarray, int]:
-    """(unique edge-involved doc ids, total edge count) in ONE streaming pass
-    — the count sizes the verify split without re-executing the dataset."""
-    parts = []
-    n_edges = 0
-    for b in edges.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-        n_edges += b.num_rows
-        parts.append(b.column("src").to_numpy(zero_copy_only=False))
-        parts.append(b.column("dst").to_numpy(zero_copy_only=False))
-    if not parts:
-        return np.zeros(0, dtype=np.int64), 0
-    return np.unique(np.concatenate(parts)), n_edges
+def signature_slice(
+    signatures: "ray.data.Dataset",
+    ids: np.ndarray,
+    config: NearDupConfig,
+    extra: tuple[str, ...] = (),
+) -> pa.Table:
+    """The signature rows of the docs ``ids``: doc_id, the signature
+    column, ``text`` when a Jaro-Winkler confirm is configured, and the
+    ``extra`` columns the input has. ONE filtered ``map_batches`` pass and
+    one collect — the corpus never lands on the driver — sorted by doc_id
+    (stable), the lookup order of :func:`score_pairs`."""
+    if len(ids) == 0:
+        return pa.table({"doc_id": pa.array([], pa.int64())})
+    want_ref = ray.put(np.asarray(ids))
+    cols = ["doc_id", _sig_column(config)] + (
+        ["text"] if config.jaro_winkler_min is not None else []
+    ) + list(extra)
+
+    def _filter(batch: pa.Table) -> pa.Table:
+        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), ray.get(want_ref))
+        return batch.select([c for c in cols if c in batch.column_names]).filter(pa.array(mask))
+
+    tbl = _collect(signatures.map_batches(_filter, batch_format="pyarrow", batch_size=None),
+                   pa.table({"doc_id": pa.array([], pa.int64())}))
+    order = np.argsort(tbl.column("doc_id").to_numpy(zero_copy_only=False), kind="stable")
+    return tbl.take(pa.array(order, pa.int64()))
 
 
-class _BroadcastVerifier:
-    """Verifies edge batches against broadcast signatures.
+def _signature_array(col: pa.ChunkedArray, config: NearDupConfig) -> np.ndarray:
+    """A signature column as numpy, zero-copy: simhash → uint64 vector;
+    minhash (a K-slot fixed-size list, or the join's packed
+    ``fixed_size_binary(4·K)``) → (n, K) uint32 matrix."""
+    arr = _one_array(col)
+    if isinstance(config.signature(), SimHashConfig):
+        return np.asarray(arr.to_numpy(zero_copy_only=False), dtype=np.uint64)
+    k = config.minhash.num_perms
+    if pa.types.is_fixed_size_binary(arr.type):
+        data = np.frombuffer(arr.buffers()[1], dtype=np.uint32)
+        return data[arr.offset * k : (arr.offset + len(arr)) * k].reshape(len(arr), k)
+    return arr.flatten().to_numpy(zero_copy_only=False).reshape(len(arr), k)
 
-    ``ray.put`` once on the driver; ``ray.get`` per task is zero-copy out of
-    the local object store — the broadcast-small-side pattern
-    (SURVEY.md §2.5 D2). Used as a plain task function via ``partial`` so no
-    actor pool has to spin up for what is usually a small edge list."""
 
-    def __init__(self, sig_ref, config: NearDupConfig):
-        ids, simhash, minhash, texts = ray.get(sig_ref)
-        self.ids = ids  # sorted int64
-        self.simhash = simhash
-        self.minhash = minhash
-        self.texts = texts
-        self.config = config
+def _pair_scores(
+    a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray, config: NearDupConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """THE exact metric, over the pairs (``a[ia[i]]``, ``b[ib[i]]``) →
+    (keep-mask, score): 1 − hamming/64 with hamming ≤ threshold, or matched
+    minhash slots / K ≥ threshold, counted in chunks of ``_VERIFY_CHUNK``
+    pairs (an integer count divided by K is bit-equal to ``.mean(axis=1)``)."""
+    cfg = config.signature()
+    if isinstance(cfg, SimHashConfig):
+        d = hamming64(a[ia], b[ib])
+        return d <= cfg.threshold, 1.0 - np.asarray(d, dtype=np.float64) / 64.0
+    score = np.empty(len(ia), dtype=np.float64)
+    for i in range(0, len(ia), _VERIFY_CHUNK):
+        j = slice(i, i + _VERIFY_CHUNK)
+        score[j] = np.count_nonzero(a[ia[j]] == b[ib[j]], axis=1)
+    score /= config.minhash.num_perms
+    return score >= cfg.threshold, score
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                 "score": pa.array([], pa.float64())}
-            )
-        src = batch.column("src").to_numpy(zero_copy_only=False)
-        dst = batch.column("dst").to_numpy(zero_copy_only=False)
-        ia = np.searchsorted(self.ids, src)
-        ib = np.searchsorted(self.ids, dst)
-        cfg = self.config.signature()
-        if isinstance(cfg, SimHashConfig):
-            d = hamming64(self.simhash[ia], self.simhash[ib])
-            keep = d <= cfg.threshold
-            score = 1.0 - np.asarray(d, dtype=np.float64) / 64.0
-        else:
-            eq = (self.minhash[ia] == self.minhash[ib]).mean(axis=1)
-            keep = eq >= cfg.threshold
-            score = eq.astype(np.float64)
-        if self.config.jaro_winkler_min is not None and self.texts is not None:
-            # batched kernel (VERDICT r3 #2): one vectorized pass over the
-            # kept pairs instead of a per-pair per-char Python loop
-            jw_min = self.config.jaro_winkler_min
-            kidx = np.flatnonzero(keep)
-            if len(kidx):
-                # Arrow take() gathers only the pairs under confirmation;
-                # the 512-codepoint cap is applied by an Arrow kernel and the
-                # strings become Python objects only here, at the JW boundary
-                t1 = pc.utf8_slice_codeunits(
-                    self.texts.take(pa.array(ia[kidx], pa.int64())), 0, 512
-                ).to_pylist()
-                t2 = pc.utf8_slice_codeunits(
-                    self.texts.take(pa.array(ib[kidx], pa.int64())), 0, 512
-                ).to_pylist()
-                keep[kidx[jaro_winkler_pairs(t1, t2) < jw_min]] = False
-        return pa.table(
-            {
-                "src": pa.array(src[keep], pa.int64()),
-                "dst": pa.array(dst[keep], pa.int64()),
-                "score": pa.array(score[keep], pa.float64()),
-            }
-        )
+
+def _jaro_winkler(t1: list[str], t2: list[str]) -> np.ndarray:
+    """Jaro-Winkler per aligned pair, fanned out as plain Ray tasks of
+    ``_JW_TASK_PAIRS`` pairs when there are more (a 10k-pair confirm would
+    otherwise serialize ~6 s in one process). Called from a Ray task, the
+    fan-out is nested tasks: the caller's ``ray.get`` lends them its CPU."""
+    n = len(t1)
+    if n <= _JW_TASK_PAIRS:
+        return jaro_winkler_pairs(t1, t2)
+    fn = ray.remote(jaro_winkler_pairs)
+    step = _JW_TASK_PAIRS
+    return np.concatenate(ray.get(
+        [fn.remote(t1[i : i + step], t2[i : i + step]) for i in range(0, n, step)]
+    ))
+
+
+def score_pairs(
+    src: np.ndarray, dst: np.ndarray, sl: pa.Table, config: NearDupConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep-mask, score) of the candidate pairs (src, dst) against the
+    doc_id-sorted slice ``sl`` (:func:`signature_slice`) — the scoring
+    kernel of every pair verifier. :func:`_pair_scores` applies the exact
+    metric; when ``config.jaro_winkler_min`` is set and the slice carries
+    text, the kept pairs must also reach it on the first ``_JW_MAX_CHARS``
+    code points of both texts (null text = "")."""
+    if len(src) == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
+    ids = _one_array(sl.column("doc_id")).to_numpy(zero_copy_only=False)
+    ia = np.searchsorted(ids, src)
+    ib = np.searchsorted(ids, dst)
+    sig = _signature_array(sl.column(_sig_column(config)), config)
+    keep, score = _pair_scores(sig, ia, sig, ib, config)
+    kidx = np.flatnonzero(keep)
+    if config.jaro_winkler_min is not None and "text" in sl.column_names and len(kidx):
+        texts = sl.column("text")
+
+        def _side(rows: np.ndarray) -> list[str]:
+            # Arrow gathers and cuts; Python strings only at the JW boundary
+            cut = pc.utf8_slice_codeunits(texts.take(pa.array(rows, pa.int64())), 0, _JW_MAX_CHARS)
+            return cut.fill_null("").to_pylist()
+
+        jw = _jaro_winkler(_side(ia[kidx]), _side(ib[kidx]))
+        keep[kidx[jw < config.jaro_winkler_min]] = False
+    return keep, score
+
+
+def _kept(src: np.ndarray, dst: np.ndarray, keep: np.ndarray, score: np.ndarray) -> pa.Table:
+    return pa.table({"src": pa.array(src[keep], pa.int64()),
+                     "dst": pa.array(dst[keep], pa.int64()),
+                     "score": pa.array(score[keep], pa.float64())})
 
 
 def verify_edges(
@@ -222,85 +301,58 @@ def verify_edges(
     signatures: "ray.data.Dataset",
     config: NearDupConfig,
 ) -> "ray.data.Dataset":
-    """Exact verification of candidate edges → (src, dst, score).
+    """Exact verification of (distinct) candidate edges → (src, dst, score).
 
-    Broadcast strategy: the corpus NEVER shuffles — signatures are filtered
-    by the (small) edge-id set in one streaming ``map_batches`` pass, the
-    filtered slice is broadcast via ``ray.put``, and edges verify against it
-    with binary-search lookups. For corpora where the duplicate-touched
-    slice itself outgrows driver memory, switch to a hash-partitioned
-    ``Dataset.join`` on src/dst (B-bucketed); the broadcast path is correct
-    whenever the slice fits, which holds through ~10^8 candidate edges.
-    """
-    ids, n_edges = _collect_edge_ids_count(edges)
+    Broadcast strategy: the corpus NEVER shuffles — the edge-involved
+    :func:`signature_slice` is collected once, broadcast via ``ray.put``
+    (zero-copy ``ray.get`` per task, SURVEY.md §2.5 D2), and every edge
+    batch is scored against it with :func:`score_pairs`. Correct whenever
+    the slice fits the object store, which holds through ~10^8 candidate
+    edges; :func:`verify_edges_join` is the shape for beyond."""
+    ids = _collect_edge_ids(edges)
     if len(ids) == 0:
-        return edges.map_batches(
-            lambda b: pa.table({"src": pa.array([], pa.int64()),
-                                "dst": pa.array([], pa.int64()),
-                                "score": pa.array([], pa.float64())}),
-            batch_format="pyarrow",
-        )
-    ids_ref = ray.put(ids)
-    cfg = config.signature()
-    need_sim = isinstance(cfg, SimHashConfig)
-    need_text = config.jaro_winkler_min is not None
-    cols = ["doc_id"] + (["simhash"] if need_sim else ["minhash"]) + (
-        ["text"] if need_text else []
-    )
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
-        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), want,
-                       assume_unique=False)
-        return batch.select(cols).filter(pa.array(mask))
-
-    slim = signatures.map_batches(_filter, batch_format="pyarrow")
-    tbl = pa.concat_tables(
-        [b for b in slim.iter_batches(batch_size=1 << 18, batch_format="pyarrow")]
-        or [pa.table({c: [] for c in cols})]
-    )
-    got_ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.argsort(got_ids, kind="stable")
-    sorted_ids = got_ids[order]
-    simhash = minhash = texts = None
-    if need_sim:
-        simhash = tbl.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)[order]
-    else:
-        n = tbl.num_rows
-        flat = tbl.column("minhash").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        minhash = flat.reshape(n, config.minhash.num_perms)[order]
-    if need_text:
-        # texts ride the broadcast as a zero-copy Arrow array reordered by
-        # take() (VERDICT r4 #3) — Python strings materialize only at the JW
-        # kernel boundary, and only for pairs actually being confirmed
-        texts = tbl.column("text").combine_chunks().take(
-            pa.array(order, pa.int64())
-        )
-    sig_ref = ray.put((sorted_ids, simhash, minhash, texts))
+        return edges.map_batches(lambda b: _EMPTY_EDGES, batch_format="pyarrow")
+    sl_ref = ray.put(signature_slice(signatures, ids, config))
 
     def _verify(batch: pa.Table) -> pa.Table:
-        return _BroadcastVerifier(sig_ref, config)(batch)
+        src = batch.column("src").to_numpy(zero_copy_only=False)
+        dst = batch.column("dst").to_numpy(zero_copy_only=False)
+        return _kept(src, dst, *score_pairs(src, dst, ray.get(sl_ref), config))
 
-    if need_text:
-        # JW confirm costs ~0.6 ms/pair of CPU (vs ~µs for the signature-only
-        # metric): split the (small, usually single-block) edge list so the
-        # confirm parallelizes across the pool instead of serializing in one
-        # task. Block count sized by the edge count from the id-collection
-        # pass — ~1k pairs (~0.6 s JW) per block, capped at the pool, so the
-        # ~50 ms/task dispatch floor never dominates
-        from dedupe_ray.runtime import cluster_cpus
-
-        # ~256 pairs (~0.15 s JW worst-case) per block: fine enough to fill
-        # the pool on small edge lists, coarse enough that the ~50 ms/task
-        # dispatch floor stays <25% of task compute
-        nb = max(1, min(2 * min(cluster_cpus(), 32), n_edges // 256))
-        if nb > 1:
-            edges = edges.repartition(nb)
-        # batch_size=None → one batch per repartitioned block; a batch_size
-        # LARGER than the block size would coalesce the split right back
-        # into one task
-        return edges.map_batches(_verify, batch_format="pyarrow", batch_size=None)
     return edges.map_batches(_verify, batch_format="pyarrow", batch_size=1 << 16)
+
+
+def verify_candidates(
+    candidates: "ray.data.Dataset",
+    signatures: "ray.data.Dataset",
+    config: NearDupConfig,
+    mode: str = "auto",
+    extra: tuple[str, ...] = (),
+) -> "tuple[pa.Table | ray.data.Dataset, pa.Table | None]":
+    """THE verify gate of the near-dup family: materialized candidate
+    (src, dst) pairs → distinct verified edges (src, dst, score).
+
+    ``mode="auto"`` takes the driver path when the candidate count is ≤
+    ``config.cc_local_max_edges``: the candidates collected and made
+    distinct, one :func:`signature_slice` pass (with ``extra`` columns),
+    :func:`score_pairs` → (edges as a ``pa.Table``, the slice).
+    ``"distributed"``: one global :func:`dedupe_edges` sort, then
+    :func:`verify_edges` → (materialized Dataset, None)."""
+    path = mode
+    if mode == "auto":
+        n_cand = candidates.count()
+        path = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
+        logger.info("verify gate: %d candidates → %s path", n_cand, path)
+    if path == "distributed":
+        distinct = dedupe_edges(candidates).materialize()
+        return verify_edges(distinct, signatures, config).materialize(), None
+    pairs = _collect(candidates, _EMPTY_PAIRS)
+    src = pairs.column("src").to_numpy(zero_copy_only=False)
+    dst = pairs.column("dst").to_numpy(zero_copy_only=False)
+    if len(src):
+        src, dst = _distinct_pairs(src, dst)
+    sl = signature_slice(signatures, np.unique(np.r_[src, dst]), config, extra)
+    return _kept(src, dst, *score_pairs(src, dst, sl, config)), sl
 
 
 def verify_edges_join(
@@ -310,94 +362,52 @@ def verify_edges_join(
     num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Fully-distributed verification via two hash-partitioned joins — the
-    scale path for corpora where even the edge-involved signature slice
-    outgrows the driver/object-store broadcast (dup-heavy crawls).
+    shape for corpora where even the edge-involved signature slice
+    outgrows the driver/object-store broadcast. No caller selects it yet;
+    tests pin it equal to :func:`verify_edges` (without a Jaro-Winkler
+    confirm: the text does not ride the joins).
 
-    edges ⋈ signatures ON src → ⋈ signatures ON dst, then the vectorized
-    metric filter. Each join shuffles the (small) edge list plus one pass of
-    the signature table partitioned on doc_id; the corpus text never moves.
-    """
-    cfg = config.signature()
-    is_simhash = isinstance(cfg, SimHashConfig)
-    sig_col = "simhash" if is_simhash else "minhash"
-    if is_simhash:
+    edges ⋈ signatures ON src → ⋈ signatures ON dst, then
+    :func:`_pair_scores` over the two joined sides. Each join shuffles the
+    (small) edge list plus one pass of the signature table partitioned on
+    doc_id; the corpus text never moves."""
+    sig_col = _sig_column(config)
+    if sig_col == "simhash":
         slim = signatures.select_columns(["doc_id", sig_col])
     else:
         # Acero's hash join rejects fixed_size_list payloads — repack the
         # minhash signature as fixed_size_binary for the ride: ONE buffer
         # view for the whole batch (VERDICT r3 #4), no per-row tobytes()
-        num_perms_pack = config.minhash.num_perms
+        k = config.minhash.num_perms
 
         def _pack(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            flat = batch.column("minhash").combine_chunks().flatten().to_numpy(
-                zero_copy_only=False
-            ).astype(np.uint32)
+            flat = _signature_array(batch.column("minhash"), config).astype(np.uint32)
             fsb = pa.FixedSizeBinaryArray.from_buffers(
-                pa.binary(4 * num_perms_pack), n,
+                pa.binary(4 * k), batch.num_rows,
                 [None, pa.py_buffer(np.ascontiguousarray(flat).tobytes())],
             )
             return pa.table({"doc_id": batch.column("doc_id"), "minhash": fsb})
 
         slim = signatures.map_batches(_pack, batch_format="pyarrow", batch_size=None)
 
-    j1 = edges.select_columns(["src", "dst"]).join(
-        slim,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("src",),
-        right_on=("doc_id",),
-        right_suffix="_src",
-    )
-    sig_src = sig_col if sig_col in j1.schema().names else f"{sig_col}_src"
-    j1 = j1.rename_columns({sig_col_name: "sig_src" for sig_col_name in [sig_src]})
-    j2 = j1.join(
-        slim,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("dst",),
-        right_on=("doc_id",),
-        right_suffix="_dst",
-    )
-    sig_dst = sig_col if sig_col in j2.schema().names else f"{sig_col}_dst"
-    j2 = j2.rename_columns({sig_col_name: "sig_dst" for sig_col_name in [sig_dst]})
+    # the join drops the right key column, and the left side never carries
+    # the signature column, so it comes out unsuffixed (Ray 2.49.2): the
+    # names are known without a schema() probe (a hidden limit(1) run)
+    def _join(left: "ray.data.Dataset", on: str, side: str) -> "ray.data.Dataset":
+        return left.join(slim, join_type="inner", num_partitions=num_partitions,
+                         on=(on,), right_on=("doc_id",)).rename_columns({sig_col: side})
 
-    if is_simhash:
-        threshold = cfg.threshold
+    joined = _join(_join(edges.select_columns(["src", "dst"]), "src", "sig_src"),
+                   "dst", "sig_dst")
 
-        def _score(batch: pa.Table) -> pa.Table:
-            a = batch.column("sig_src").to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = batch.column("sig_dst").to_numpy(zero_copy_only=False).astype(np.uint64)
-            d = hamming64(a, b)
-            keep = d <= threshold
-            out = batch.select(["src", "dst"]).filter(pa.array(keep))
-            return out.append_column(
-                "score", pa.array(1.0 - np.asarray(d)[keep] / 64.0, pa.float64())
-            )
+    def _score(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _EMPTY_EDGES
+        rows = np.arange(batch.num_rows)
+        a = _signature_array(batch.column("sig_src"), config)
+        b = _signature_array(batch.column("sig_dst"), config)
+        return _kept(batch.column("src").to_numpy(zero_copy_only=False),
+                     batch.column("dst").to_numpy(zero_copy_only=False),
+                     *_pair_scores(a, rows, b, rows, config))
 
-    else:
-        threshold = cfg.threshold
-        num_perms = config.minhash.num_perms
-
-        def _unpack(col: pa.ChunkedArray, n: int) -> np.ndarray:
-            # fixed_size_binary data buffer → zero-copy uint32 matrix view
-            arr = col.combine_chunks()
-            words = arr.type.byte_width // 4
-            data = np.frombuffer(arr.buffers()[1], dtype=np.uint32)
-            start = arr.offset * words
-            return data[start : start + n * words].reshape(n, num_perms)
-
-        def _score(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            if n == 0:
-                return pa.table({"src": pa.array([], pa.int64()),
-                                 "dst": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            a = _unpack(batch.column("sig_src"), n)
-            b = _unpack(batch.column("sig_dst"), n)
-            eq = (a == b).mean(axis=1)
-            keep = eq >= threshold
-            out = batch.select(["src", "dst"]).filter(pa.array(keep))
-            return out.append_column("score", pa.array(eq[keep], pa.float64()))
-
-    return j2.map_batches(_score, batch_format="pyarrow", batch_size=1 << 14)
+    return joined.map_batches(_score, batch_format="pyarrow", batch_size=1 << 14)

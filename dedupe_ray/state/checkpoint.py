@@ -36,6 +36,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from dedupe_ray.sources.pages import parquet_row_count
+
 logger = logging.getLogger(__name__)
 
 __all__ = ["CheckpointedRun"]
@@ -73,8 +75,6 @@ class CheckpointedRun:
         rows = (self._lineage(name) or {}).get("rows")
         if isinstance(rows, int):
             return rows
-        from dedupe_ray.sources.pages import parquet_row_count
-
         d = self._stage_dir(name)
         return parquet_row_count(d) if os.path.isdir(d) else None
 
@@ -100,8 +100,9 @@ class CheckpointedRun:
     ) -> "ray.data.Dataset | pa.Table":
         """Run (or resume) one stage.
 
-        ``fn() -> Dataset``: the result is written to partitioned parquet
-        and re-read, so downstream stages consume the checkpoint, not the
+        ``fn() -> Dataset``: the result is written to partitioned parquet,
+        counted from the file footers, and returned as a read of the
+        checkpoint, so downstream stages consume the checkpoint, not the
         live lineage. ``partition_cols`` hive-partitions it (one directory
         per value) so later consumers can PRUNE whole partitions by path.
         A Dataset that yields no rows commits one empty file with the
@@ -141,7 +142,8 @@ class CheckpointedRun:
                 schema = schema or pa.schema([("__empty__", pa.int8())])
                 pq.write_table(schema.empty_table(), os.path.join(tmp, "empty.parquet"))
         wall = time.monotonic() - t0
-        n_rows = out.num_rows if isinstance(out, pa.Table) else ray.data.read_parquet(tmp).count()
+        # row counts from the parquet footers: no re-read of the stage
+        n_rows = out.num_rows if isinstance(out, pa.Table) else parquet_row_count(tmp)
         lineage = {
             "stage": name,
             "config_hash": self.config_hash,

@@ -369,3 +369,55 @@ def test_stage_rows_reads_lineage_then_footers(ray_session, pages_parquet, tmp_p
     (tmp_path / "ck" / "signatures" / "_LINEAGE.json").unlink()
     assert run.stage_rows("signatures") == 300
     assert run.stage_rows("no_such_stage") in (None, 0)
+
+
+def test_stage_rows_from_footers_without_reread(ray_session, pages_parquet, tmp_path, monkeypatch):
+    """A Dataset stage's ``rows`` come from the committed files' parquet
+    footers: right for the hive-partitioned ``bands`` stage of the band
+    index and for a stage with no rows, and the temp directory is never
+    read back through Ray during the commit."""
+    import ray.data
+
+    from dedupe_ray.pipelines.incremental import build_band_index
+    from dedupe_ray.state.checkpoint import CheckpointedRun
+
+    real_read = ray.data.read_parquet
+    reads = []
+
+    def _spy(paths, *a, **k):
+        reads.append(str(paths))
+        return real_read(paths, *a, **k)
+
+    monkeypatch.setattr(ray.data, "read_parquet", _spy)
+    idx = str(tmp_path / "idx")
+    m = build_band_index(real_read(pages_parquet), idx, NearDupConfig(), input_fingerprint="fp")
+    assert m["signatures"]["rows"] == 300
+    assert m["bands"]["rows"] == pq.read_table(os.path.join(idx, "bands")).num_rows > 300
+
+    run = CheckpointedRun(str(tmp_path / "ck"), "h")
+    empty = pa.table({"a": pa.array([], pa.int64())})
+    run.stage("empty", lambda: ray.data.from_arrow(empty), schema=empty.schema)
+    assert run.metrics["empty"]["rows"] == 0
+    assert reads and not [p for p in reads if ".tmp-" in p], reads
+
+
+def test_incremental_match_docs_fingerprint_sees_same_second_rewrite(ray_session, tmp_path,
+                                                                     monkeypatch):
+    """The query's band index is keyed by the documents file's mtime in ns:
+    a same-size rewrite within one second gets a new index, not the stale one."""
+    from dedupe_ray.pipelines import incremental, queries
+
+    src = str(tmp_path / "documents.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                             "text": ["alpha beta", "gamma delta"],
+                             "lang": ["en", "en"]}), src)
+    roots = []
+    monkeypatch.setattr(incremental, "build_band_index",
+                        lambda corpus, root, cfg, input_fingerprint: roots.append(root))
+    monkeypatch.setattr(incremental, "incremental_match_indexed",
+                        lambda inc, root, cfg: {"new_status": pa.table({"url": pa.array([], pa.string())})})
+    t = 1_700_000_000 * 10**9
+    for mtime in (t, t + 1):  # same size, same second
+        os.utime(src, ns=(mtime, mtime))
+        queries.incremental_match_docs(str(tmp_path))
+    assert len(roots) == 2 and roots[0] != roots[1]

@@ -17,6 +17,20 @@ TABLES = [
 ]
 
 
+def test_entry_module_compiles_with_warnings_as_errors():
+    """No invalid escape sequence in the oracle SQL literals (a
+    ``SyntaxWarning`` on Python 3.12, an error in later versions)."""
+    import os
+    import warnings
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "__ray_entry__.py")
+    with open(path) as f:
+        src = f.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(src, path, "exec")
+
+
 @pytest.fixture(scope="module")
 def entrymod(ray_session):
     import importlib

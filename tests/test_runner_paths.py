@@ -1,8 +1,10 @@
 """The checkpointed runner behind ``cli dedup`` runs ``near_duplicates``'
 stage list on both sides of the candidate gate: the path it takes is
 recorded in the ``edges`` lineage, a resume at any stage boundary gives the
-same assignment, the driver verify equals ``verify_edges``, and neither the
-runner nor the CLI reading commands run a hidden partial execution."""
+same assignment, the driver verify equals ``verify_edges`` and
+``verify_edges_join`` (also with a Jaro-Winkler confirm, and inside
+``incremental_match``), and neither the runner nor the CLI reading commands
+run a hidden partial execution."""
 
 from __future__ import annotations
 
@@ -138,7 +140,7 @@ def _synthetic_signatures(algo: str, n_docs: int, seed: int = 5) -> pa.Table:
 def test_driver_verify_equals_verify_edges(ray_session, algo):
     import ray.data
 
-    from dedupe_ray.pipelines.neardup import _VERIFY_CHUNK, _driver_edges
+    from dedupe_ray.stages.candidates import _VERIFY_CHUNK, verify_candidates as _driver_edges
     from dedupe_ray.stages.candidates import verify_edges
 
     sigs = _synthetic_signatures(algo, 230)
@@ -184,3 +186,103 @@ def test_cli_compare_and_stats_without_limit(ray_session, pages_parquet, tmp_pat
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split("\t")[0] == "url"
     assert len(lines) == 1 + 50
+
+
+def _all_pairs(sigs: pa.Table) -> pa.Table:
+    ids = sigs.column("doc_id").to_numpy()
+    a, b = np.triu_indices(len(ids), 1)
+    return pa.table({"src": pa.array(ids[a]), "dst": pa.array(ids[b])})
+
+
+def _rows(ds) -> pa.Table:
+    return pa.concat_tables(list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
+
+
+def _group_texts(n_docs: int, seed: int = 9) -> list:
+    """Per ``_synthetic_signatures`` group a 700-code-point base text with
+    non-ASCII characters; each doc re-rolls a random number of positions,
+    every fifth doc only past the 512th code point; doc 3 has no text."""
+    group = np.random.default_rng(5).integers(0, 12, n_docs)  # as the signatures
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcdefghij klmnop éüß😀✓")
+    bases = ["".join(rng.choice(alphabet, 700)) for _ in range(12)]
+    texts = []
+    for i, g in enumerate(group):
+        t = list(bases[g])
+        for p in rng.integers(520 if i % 5 == 0 else 0, 700, rng.integers(0, 200)):
+            t[p] = str(rng.choice(alphabet))
+        texts.append("".join(t))
+    texts[3] = None
+    return texts
+
+
+def test_jaro_winkler_verify_equal_on_both_paths(ray_session):
+    """The Jaro-Winkler confirm gives the same (src, dst, score) on the
+    driver path and in ``verify_edges``' tasks, and keeps exactly the
+    metric-kept pairs whose first 512 code points (null text = "") reach
+    the minimum. More than 256 pairs reach the confirm, so it fans out."""
+    import ray.data
+
+    from dedupe_ray.functions.metrics import jaro_winkler_pairs
+    from dedupe_ray.stages.candidates import _JW_TASK_PAIRS, verify_candidates, verify_edges
+
+    texts = _group_texts(230)
+    sigs = _synthetic_signatures("minhash", 230).append_column("text", pa.array(texts))
+    cands, sigs_ds = ray.data.from_arrow(_all_pairs(sigs)), ray.data.from_arrow(sigs)
+    order = [("src", "ascending"), ("dst", "ascending")]
+    metric_only = verify_candidates(cands, sigs_ds, NearDupConfig())[0].sort_by(order)
+    cfg = NearDupConfig(jaro_winkler_min=0.93)
+    got, _ = verify_candidates(cands, sigs_ds, cfg)
+    want = _rows(verify_edges(cands, sigs_ds, cfg)).sort_by(order)
+    assert metric_only.num_rows > _JW_TASK_PAIRS
+    assert 0 < want.num_rows < metric_only.num_rows
+    assert got.sort_by(order).equals(want)
+
+    by_id = dict(zip(sigs.column("doc_id").to_pylist(), texts))
+    cut = lambda col: [(by_id[i] or "")[:512] for i in metric_only.column(col).to_pylist()]
+    jw = jaro_winkler_pairs(cut("src"), cut("dst"))
+    assert want.equals(metric_only.filter(pa.array(jw >= 0.93)))
+
+
+@pytest.mark.parametrize("algo", ["minhash", "simhash"])
+def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, monkeypatch, algo):
+    """``verify_edges_join`` scores with the same kernel: equal (src, dst,
+    score) to the driver verify, and no hidden ``Dataset.limit`` run (the
+    joined column names are known, not probed with ``schema()``)."""
+    import ray.data
+
+    from dedupe_ray.stages.candidates import verify_candidates, verify_edges_join
+
+    _no_limit(monkeypatch)
+    sigs = _synthetic_signatures(algo, 230)
+    cands, sigs_ds = ray.data.from_arrow(_all_pairs(sigs)), ray.data.from_arrow(sigs)
+    cfg = NearDupConfig(algo=algo)
+    order = [("src", "ascending"), ("dst", "ascending")]
+    got, _ = verify_candidates(cands, sigs_ds, cfg)
+    joined = _rows(verify_edges_join(cands, sigs_ds, cfg, num_partitions=4))
+    assert got.num_rows > 0
+    assert joined.sort_by(order).equals(got.sort_by(order))
+
+
+def test_incremental_match_gate_equals_distributed_chain(ray_session, pages_parquet):
+    """``incremental_match`` through the verify gate's driver path gives the
+    edges and ``new_status`` of the ``dedupe_edges`` → ``verify_edges``
+    chain (the gate's distributed side, forced by ``cc_local_max_edges=0``)."""
+    import ray.data
+
+    from dedupe_ray.pipelines.incremental import incremental_match
+    from dedupe_ray.pipelines.neardup import signatures_dataset
+
+    pages = pq.read_table(pages_parquet)
+    rows = np.arange(pages.num_rows)
+    corpus_sigs = signatures_dataset(ray.data.from_arrow(pages.take(rows[rows % 3 > 0])),
+                                     NearDupConfig()).materialize()
+    increment = ray.data.from_arrow(pages.take(rows[rows % 3 == 0]))
+    out = {gate: incremental_match(increment, corpus_sigs, NearDupConfig(cc_local_max_edges=gate))
+           for gate in (2_000_000, 0)}
+    order = [("src", "ascending"), ("dst", "ascending")]
+    driver, chain = out[2_000_000], out[0]
+    assert driver["edges"].num_rows > 0
+    assert driver["edges"].sort_by(order).equals(chain["edges"].sort_by(order))
+    assert driver["new_status"].sort_by("doc_id").equals(chain["new_status"].sort_by("doc_id"))
+    assert driver["new_status"].column("duplicate_of").null_count < 100
