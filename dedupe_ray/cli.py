@@ -111,12 +111,16 @@ def _dup_cluster_rows(assignment_dir: str, members: bool):
     import ray
     import ray.data
 
+    from dedupe_ray.stages.candidates import _collect
+
     ds = ray.data.read_parquet(assignment_dir)
     dup = ds.map_batches(
-        lambda b: b.filter(pc.not_equal(b.column("cluster_id"), b.column("doc_id"))),
+        lambda b: pa.table({"cluster_id": pc.unique(b.column("cluster_id").filter(
+            pc.not_equal(b.column("cluster_id"), b.column("doc_id"))))}),
         batch_format="pyarrow",
     )
-    dup_cids = np.sort(np.asarray(dup.unique("cluster_id"), dtype=np.int64))
+    dup_cids = np.unique(_collect(dup, pa.table({"cluster_id": pa.array([], pa.int64())}))
+                         .column("cluster_id").to_numpy(zero_copy_only=False).astype(np.int64))
     cid_ref = ray.put(dup_cids)
 
     def _select(b: pa.Table) -> pa.Table:

@@ -7,9 +7,11 @@ shuffling the corpus. The increment is the small side:
 
   1. sign the increment; collect ITS band keys to the driver (bounded by
      |increment| × B × 8 bytes);
-  2. stream the corpus signatures through one ``map_batches`` band-filter —
-     only corpus rows sharing a band with the increment survive (no corpus
-     shuffle, no corpus materialization);
+  2. keep the corpus band rows whose key the increment has: one streaming
+     ``map_batches`` band-filter over the corpus signatures, or, against a
+     persisted index, one driver read of the row groups whose footer
+     [min, max] holds an increment key (no corpus shuffle, no corpus
+     materialization);
   3. candidate pairs within the union of (increment ∪ surviving corpus)
      banded rows, then the flagship's verify gate — on the driver for an
      increment-sized candidate list.
@@ -20,16 +22,22 @@ per-new-page verdict (duplicate_of corpus doc or fresh).
 
 from __future__ import annotations
 
+import glob
 import logging
+import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
 from dedupe_ray.config import NearDupConfig
-from dedupe_ray.pipelines.neardup import signatures_dataset, signatures_schema
+from dedupe_ray.pipelines.neardup import (
+    band_bundle_size, signatures_dataset, signatures_schema,
+)
 from dedupe_ray.stages.banding import band_emitter
 from dedupe_ray.stages.candidates import (
     _EMPTY_EDGES, _collect, candidate_edges, verify_candidates,
@@ -39,26 +47,12 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["incremental_match", "build_band_index", "incremental_match_indexed"]
 
-# band-index range partitioning: top bits of the (uniformly mixed) uint64
-# band_key → 2^_SHARD_BITS hive partitions. A small/targeted increment
-# (the reference's Compare shape) touches only the shards its own keys land
-# in, so the match reads a strict subset of index files; a corpus-sized
-# increment degrades gracefully to reading every shard.
-_SHARD_BITS = 8
-
-
-def band_shard_of(keys: np.ndarray) -> np.ndarray:
-    """Shard id per band_key: the top ``_SHARD_BITS`` bits (range partition —
-    uniform because the key is a mixed hash)."""
-    return (keys.astype(np.uint64) >> np.uint64(64 - _SHARD_BITS)).astype(np.int64)
-
 
 def incremental_match(
     new_pages: "ray.data.Dataset",
     corpus_signatures: "ray.data.Dataset",
     config: NearDupConfig | None = None,
     extract: bool = True,
-    corpus_bands: "ray.data.Dataset | None" = None,
     corpus_bands_loader=None,
 ) -> dict:
     """Match an increment against a signed corpus.
@@ -68,14 +62,13 @@ def incremental_match(
     doc id (lowest-scored-first tie-break by id) or null for fresh pages.
     Both new-internal and cross edges are included.
 
-    ``corpus_bands``: optionally the PERSISTED (band_key, doc_id) index from
-    :func:`build_band_index` — then the corpus is neither re-extracted nor
-    re-signed nor re-banded; only the band filter streams over it.
-
-    ``corpus_bands_loader``: alternatively a callable
-    ``(new_band_keys: np.ndarray) -> Dataset`` invoked AFTER the increment's
-    band keys are known — lets a partitioned index prune whole partitions
-    (VERDICT r3 #7) instead of streaming every index row through the filter.
+    ``corpus_bands_loader``: optionally a callable ``(new_band_keys:
+    np.ndarray) -> list[pa.Table]`` of (band_key, doc_id) corpus rows that
+    hold every corpus band row with one of those keys, called once the
+    increment's keys are known — the PERSISTED index of
+    :func:`build_band_index`, pruned by its footers, so the corpus is
+    neither re-extracted nor re-signed nor re-banded. Without it the corpus
+    signatures are re-banded in one streaming filter pass.
     """
     config = config or NearDupConfig()
     emit = band_emitter(config.signature())
@@ -86,21 +79,13 @@ def incremental_match(
         pa.table({"band_key": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}),
     )
     new_keys = np.unique(new_banded_tbl.column("band_key").to_numpy(zero_copy_only=False))
-    keys_ref = ray.put(new_keys)
 
-    if corpus_bands_loader is not None and corpus_bands is None:
-        corpus_bands = corpus_bands_loader(new_keys)
-    if corpus_bands is not None:
-
-        def _band_filter(batch: pa.Table) -> pa.Table:
-            keys = ray.get(keys_ref)
-            mask = np.isin(
-                batch.column("band_key").to_numpy(zero_copy_only=False), keys
-            )
-            return batch.select(["band_key", "doc_id"]).filter(pa.array(mask))
-
-        band_source = corpus_bands
+    if corpus_bands_loader is not None:
+        banded = pa.concat_tables([*corpus_bands_loader(new_keys), new_banded_tbl])
+        banded_all = ray.data.from_arrow(banded.filter(
+            pc.is_in(banded.column("band_key"), value_set=pa.array(new_keys, pa.uint64()))))
     else:
+        keys_ref = ray.put(new_keys)
 
         def _band_filter(batch: pa.Table) -> pa.Table:
             keys = ray.get(keys_ref)
@@ -108,13 +93,10 @@ def incremental_match(
             mask = np.isin(banded.column("band_key").to_numpy(zero_copy_only=False), keys)
             return banded.filter(pa.array(mask))
 
-        band_source = corpus_signatures
-
-    # ONE streaming pass over the corpus — no shuffle, no materialization
-    corpus_hits = band_source.map_batches(
-        _band_filter, batch_format="pyarrow", batch_size=None
-    )
-    banded_all = corpus_hits.union(ray.data.from_arrow(new_banded_tbl))
+        # ONE streaming pass over the corpus — no shuffle, no materialization
+        banded_all = corpus_signatures.map_batches(
+            _band_filter, batch_format="pyarrow", batch_size=None
+        ).union(ray.data.from_arrow(new_banded_tbl))
     cand = candidate_edges(banded_all, config.max_bucket_size).materialize()
     # the flagship's verify gate over signatures from BOTH sides; either path
     # makes the pairs globally distinct (candidate_edges dedupes per block
@@ -122,60 +104,31 @@ def incremental_match(
     edges, _ = verify_candidates(cand, corpus_signatures.union(new_sigs), config)
     edges = edges if isinstance(edges, pa.Table) else _collect(edges, _EMPTY_EDGES)
 
-    new_ids = np.sort(
-        np.concatenate(
-            [
-                b.column("doc_id").to_numpy(zero_copy_only=False)
-                for b in new_sigs.iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-            ]
-        )
-    ) if new_sigs.count() else np.zeros(0, np.int64)
-    urls_by_id: dict[int, str] = {}
-    for b in new_sigs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-        urls_by_id.update(zip(b.column("doc_id").to_pylist(), b.column("url").to_pylist()))
-
-    # per-new-page verdict, vectorized (VERDICT r2 #4): symmetrize the edge
-    # list, keep rows whose lhs is a new page, then min(rhs) per lhs = one
-    # lexsort + run starts — no Python loop over edges
-    src = edges.column("src").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst").to_numpy(zero_copy_only=False)
-    a = np.concatenate([src, dst])
-    b = np.concatenate([dst, src])
-    if len(a) and len(new_ids):
-        pos = np.clip(np.searchsorted(new_ids, a), 0, len(new_ids) - 1)
-        in_new = new_ids[pos] == a
-        a, b = a[in_new], b[in_new]
-    else:
-        a = b = np.zeros(0, np.int64)
-    order = np.lexsort((b, a))
-    a_s, b_s = a[order], b[order]
-    starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]]) if len(a_s) else np.zeros(0, np.int64)
-    dup_a, dup_b = a_s[starts], b_s[starts]
-    # explicit found-mask (not a -1 sentinel): a legitimately negative
-    # partner id must not be nulled out
-    dup_vals = np.zeros(len(new_ids), dtype=np.int64)
-    found = np.zeros(len(new_ids), dtype=bool)
-    if len(dup_a):
-        p = np.clip(np.searchsorted(dup_a, new_ids), 0, len(dup_a) - 1)
-        hit = dup_a[p] == new_ids
-        dup_vals[hit] = dup_b[p[hit]]
-        found = hit
-    status = pa.table(
-        {
-            "doc_id": pa.array(new_ids, pa.int64()),
-            "url": pa.array([urls_by_id[int(i)] for i in new_ids], pa.string()),
-            "duplicate_of": pa.array(dup_vals, pa.int64(), mask=~found),
-        }
+    # per-new-page verdict (VERDICT r2 #4): the smallest partner id over the
+    # symmetrized edge list, joined onto the increment's (doc_id, url) —
+    # collected once — with null for a page without an edge
+    src, dst = edges.column("src"), edges.column("dst")
+    partners = pa.table({
+        "doc_id": pa.chunked_array(src.chunks + dst.chunks, pa.int64()),
+        "duplicate_of": pa.chunked_array(dst.chunks + src.chunks, pa.int64()),
+    }).group_by("doc_id").aggregate([("duplicate_of", "min")])
+    new_docs = _collect(
+        new_sigs.select_columns(["doc_id", "url"]),
+        pa.table({"doc_id": pa.array([], pa.int64()), "url": pa.array([], pa.string())}),
     )
+    status = new_docs.join(partners, "doc_id", join_type="left outer").sort_by("doc_id")
+    status = status.rename_columns(["doc_id", "url", "duplicate_of"])
     return {"edges": edges, "new_status": status}
 
 
 # ---------------------------------------------------------------------------
-# persisted band index (VERDICT r1 #9): sign + band the corpus ONCE, write
-# both as partitioned-parquet checkpoint stages; later increments match
-# against the checkpoint without re-extracting, re-signing or re-banding the
-# corpus. The index IS the LSH state the reference rebuilds per run
-# (/root/reference/dedupe.go:86-101 rebuilds the VP-tree every invocation).
+# persisted band index (VERDICT r1 #9): sign + band the corpus ONCE into two
+# checkpoint stages, the band rows as one run sorted by band_key; later
+# increments match against the checkpoint without re-extracting, re-signing
+# or re-banding the corpus, reading only the band row groups whose footer
+# [min, max] holds one of their keys (data skipping, as in Delta Lake). The
+# index IS the LSH state the reference rebuilds per run (its dedupe.go:86-101
+# rebuilds the VP-tree every invocation).
 # ---------------------------------------------------------------------------
 
 
@@ -188,7 +141,9 @@ def build_band_index(
 ) -> dict:
     """Sign + band ``corpus_pages`` into ``index_dir`` (checkpointed; a
     re-run with the same config hash + fingerprint resumes instead of
-    recomputing). Returns the stage lineage metrics."""
+    recomputing). The bands stage is sorted by ``band_key``: each sorted
+    block is one file of disjoint, ascending key ranges. Returns the stage
+    lineage metrics."""
     from dedupe_ray.state.checkpoint import CheckpointedRun
 
     config = config or NearDupConfig()
@@ -203,54 +158,48 @@ def build_band_index(
         schema=sig_schema,
     )
     emit = band_emitter(config.signature())
-
-    def _banded_sharded(batch: pa.Table) -> pa.Table:
-        b = emit(batch)
-        keys = b.column("band_key").to_numpy(zero_copy_only=False)
-        return b.append_column("band_shard", pa.array(band_shard_of(keys), pa.int64()))
-
     run.stage(
         "bands",
-        lambda: sigs.map_batches(_banded_sharded, batch_format="pyarrow", batch_size=None),
+        lambda: sigs.map_batches(
+            emit, batch_format="pyarrow",
+            batch_size=band_bundle_size(run.stage_rows("signatures")),
+        ).sort("band_key"),
         upstream=["signatures"],
-        partition_cols=["band_shard"],
-        schema=_banded_sharded(sig_schema.empty_table()).schema,
+        schema=emit(sig_schema.empty_table()).schema,
     )
     run.write_run_manifest()
     return run.metrics
 
 
+def _band_row_groups(index_dir: str, keys: np.ndarray) -> "tuple[list, int]":
+    """([(band file, its row groups whose band_key [min, max] holds a
+    key)], row groups in the index) from the parquet footers of the bands
+    checkpoint — any file layout reads, so an index written as hive shards
+    still matches. Compared as uint64: keys at or above 2^63 stay in order."""
+    keys = np.unique(np.asarray(keys, np.uint64))
+    hits, total = [], 0
+    for path in sorted(glob.glob(os.path.join(index_dir, "bands", "**", "*.parquet"),
+                                 recursive=True)):
+        md = pq.read_metadata(path)
+        col = md.schema.names.index("band_key")
+        rgs = [i for i in range(md.num_row_groups) if md.row_group(i).num_rows]
+        stats = [md.row_group(i).column(col).statistics for i in rgs]
+        total += len(rgs)
+        hit = (np.searchsorted(keys, np.array([s.min for s in stats], np.uint64), "left")
+               < np.searchsorted(keys, np.array([s.max for s in stats], np.uint64), "right"))
+        if hit.any():
+            hits.append((path, [i for i, h in zip(rgs, hit) if h]))
+    return hits, total
+
+
 def pruned_band_paths(
     index_dir: str, new_keys: np.ndarray
-) -> "tuple[list[str], int, int] | None":
-    """(parquet files in the shards the increment's keys land in, shards
-    hit, total shard count) for a band_shard-partitioned index, or ``None``
-    when the index predates partitioning (flat layout) — caller falls back
-    to the full read."""
-    import os
-
-    bands_dir = f"{index_dir}/bands"
-    try:
-        entries = os.listdir(bands_dir)
-    except FileNotFoundError:
-        return None
-    all_shards = {
-        e for e in entries
-        if e.startswith("band_shard=") and os.path.isdir(os.path.join(bands_dir, e))
-    }
-    if not all_shards:
-        return None
-    want = {f"band_shard={int(s)}" for s in np.unique(band_shard_of(new_keys))}
-    hit = sorted(all_shards & want)
-    # expand to files: ray.data.read_parquet treats a LIST of paths as files
-    import glob
-
-    files = [
-        f
-        for e in hit
-        for f in sorted(glob.glob(os.path.join(bands_dir, e, "*.parquet")))
-    ]
-    return files, len(hit), len(all_shards)
+) -> "tuple[list[str], int, int]":
+    """(band files with a row group that may hold one of ``new_keys``,
+    row groups hit, row groups in the index) — the footer pruning an
+    indexed match reads through."""
+    hits, total = _band_row_groups(index_dir, new_keys)
+    return [p for p, _ in hits], sum(len(r) for _, r in hits), total
 
 
 def incremental_match_indexed(
@@ -260,47 +209,18 @@ def incremental_match_indexed(
     extract: bool = True,
 ) -> dict:
     """Match an increment against the PERSISTED index at ``index_dir`` —
-    only the increment is extracted/signed; the corpus side is two streaming
-    parquet reads (bands for the filter, signatures for verification)."""
-    config = config or NearDupConfig()
-    corpus_sigs = ray.data.read_parquet(f"{index_dir}/signatures")
-    if config.algo == "minhash":
-        # parquet stores fixed_size_list as plain list — restore so the
-        # persisted corpus unions cleanly with freshly-signed increments
-        num_perms = config.minhash.num_perms
+    only the increment is extracted/signed; the corpus side is one driver
+    read of the hit band row groups and a streaming read of the signatures
+    for verification."""
 
-        def _restore(batch: pa.Table) -> pa.Table:
-            col = batch.column("minhash")
-            if pa.types.is_fixed_size_list(col.type):
-                return batch
-            flat = col.combine_chunks().flatten()
-            fixed = pa.FixedSizeListArray.from_arrays(flat, num_perms)
-            return batch.set_column(
-                batch.column_names.index("minhash"), "minhash", fixed
-            )
-
-        corpus_sigs = corpus_sigs.map_batches(
-            _restore, batch_format="pyarrow", batch_size=None
-        )
-    def _load_bands(new_keys: np.ndarray) -> "ray.data.Dataset":
-        pruned = pruned_band_paths(index_dir, new_keys)
-        if pruned is None:  # pre-partitioning (flat) index layout
-            return ray.data.read_parquet(
-                f"{index_dir}/bands", columns=["band_key", "doc_id"]
-            )
-        paths, n_hit, total = pruned
-        logger.info(
-            "incremental match: pruned band index to %d/%d shards (%d files)",
-            n_hit, total, len(paths),
-        )
-        if not paths:
-            return ray.data.from_arrow(
-                pa.table({"band_key": pa.array([], pa.uint64()),
-                          "doc_id": pa.array([], pa.int64())})
-            )
-        return ray.data.read_parquet(paths, columns=["band_key", "doc_id"])
+    def _load_bands(new_keys: np.ndarray) -> list[pa.Table]:
+        hits, total = _band_row_groups(index_dir, new_keys)
+        logger.info("incremental match: %d/%d band row groups in %d files",
+                    sum(len(r) for _, r in hits), total, len(hits))
+        return [pq.ParquetFile(p).read_row_groups(rgs, columns=["band_key", "doc_id"])
+                for p, rgs in hits]
 
     return incremental_match(
-        new_pages, corpus_sigs, config, extract=extract,
-        corpus_bands_loader=_load_bands,
+        new_pages, ray.data.read_parquet(f"{index_dir}/signatures"),
+        config or NearDupConfig(), extract=extract, corpus_bands_loader=_load_bands,
     )

@@ -298,12 +298,17 @@ def _assign_clusters_join(
     the ``sort_merge_join`` shape specialized to left-join-with-default) and
     pick canonicals inside a cluster_id shuffle. Two slim-column exchanges,
     ZERO driver/broadcast state; heavy signature columns never enter the
-    shuffle."""
-    schema = signatures.schema()
-    types = dict(zip(schema.names, schema.types))
+    shuffle. The slim columns are projected in a map and materialized (the
+    sort holds them anyway), so their schema costs no execution."""
     columns = _output_columns(keep_columns)
-    data_cols = [c for c in columns if c in types and c != "doc_id"]
-    slim = signatures.select_columns(["doc_id"] + data_cols)
+    slim = signatures.map_batches(
+        lambda b: b.select(["doc_id"] + [c for c in columns
+                                         if c in b.column_names and c != "doc_id"]),
+        batch_format="pyarrow", batch_size=None,
+    ).materialize()
+    schema = slim.schema()
+    types = dict(zip(schema.names, schema.types))
+    data_cols = schema.names[1:]
 
     # explicit side column (not a -1 cluster-id sentinel): caller-provided
     # doc/cluster ids may legitimately be negative, and a sentinel would

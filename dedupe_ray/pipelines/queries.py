@@ -20,6 +20,7 @@ from dedupe_ray.config import NearDupConfig, SimHashConfig
 from dedupe_ray.functions.langid import LangIdentifier
 from dedupe_ray.functions.fingerprint import winnow_fingerprint
 from dedupe_ray.functions.quality import doc_stats_table, quality_score_table
+from dedupe_ray.stages.candidates import _collect
 
 __all__ = ["read_table"]
 
@@ -71,31 +72,24 @@ def read_table(sf_dir: str, name: str, columns: list[str] | None = None) -> "ray
     ).map_batches(_strip_schema_metadata, batch_format="pyarrow", batch_size=None)
 
 
-def _concat_or(ds: "ray.data.Dataset", empty: pa.Table) -> pa.Table:
-    """Collect a (small/bounded) dataset into one Arrow table. Ray emits NO
-    blocks for zero-row datasets and reports no schema, so the caller
-    supplies the empty-case table — every query stays total on a 0-row
-    corpus (pinned by the empty-corpus sweep test)."""
-    tabs = list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    return pa.concat_tables(tabs) if tabs else empty
+def _top_rows(ds: "ray.data.Dataset", order: list, k: int, empty: pa.Table) -> pa.Table:
+    """The first ``k`` rows of ``ds`` in ``order``: the first k of each
+    block, then the first k of those on the driver — no sort shuffle and no
+    ``limit`` (a partial execution)."""
+    tops = ds.map_batches(lambda b: b.sort_by(order).slice(0, k),
+                          batch_format="pyarrow", batch_size=None)
+    return _collect(tops, empty).sort_by(order).slice(0, k)
 
 
 def _read_collect(sf_dir: str, name: str, columns: list[str] | None = None) -> pa.Table:
     """read_table + driver collect with the parquet footer schema as the
-    empty-case fallback (Ray yields no batches and no schema for 0-row
-    inputs)."""
+    empty-case table."""
     import pyarrow.parquet as pq
 
-    tabs = list(
-        read_table(sf_dir, name, columns).iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow")
-    )
-    if tabs:
-        return pa.concat_tables(tabs)
     sch = pq.read_schema(f"{sf_dir}/{name}.parquet").remove_metadata()
     if columns is not None:
         sch = pa.schema([sch.field(c) for c in columns])
-    return sch.empty_table()
+    return _collect(read_table(sf_dir, name, columns), sch.empty_table())
 
 
 def _table_rows(sf_dir: str, name: str) -> int:
@@ -172,7 +166,9 @@ def exact_dedup_docs(sf_dir: str):
 
 def top_docs_by_len(sf_dir: str):
     ds = read_table(sf_dir, "documents", ["doc_id", "n_chars"])
-    return ds.sort(["n_chars", "doc_id"], descending=[True, False]).limit(100)
+    return _top_rows(ds, [("n_chars", "descending"), ("doc_id", "ascending")], 100,
+                     pa.table({"doc_id": pa.array([], pa.int64()),
+                               "n_chars": pa.array([], pa.int64())}))
 
 
 def filter_long_docs(sf_dir: str):
@@ -188,7 +184,7 @@ def orders_customers(sf_dir: str):
     """Broadcast hash join: customer (small side) shipped once via ray.put,
     probed per batch with a vectorized searchsorted — no shuffle
     (SURVEY.md §2.7: the engine's general-join capability)."""
-    cust = _concat_or(
+    cust = _collect(
         read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"]),
         pa.table({"c_custkey": pa.array([], pa.int64()),
                   "c_name": pa.array([], pa.string()),
@@ -367,8 +363,12 @@ def events_sliding_window(sf_dir: str):
 
 def distinct_mktsegment(sf_dir: str):
     ds = read_table(sf_dir, "customer", ["c_mktsegment"])
-    vals = sorted(ds.unique("c_mktsegment") or [])
-    return pa.table({"c_mktsegment": pa.array(vals, pa.string())})
+    parts = ds.map_batches(
+        lambda b: pa.table({"c_mktsegment": pc.unique(b.column("c_mktsegment"))}),
+        batch_format="pyarrow", batch_size=None)
+    vals = _collect(parts, pa.table({"c_mktsegment": pa.array([], pa.string())}))
+    return pa.table({"c_mktsegment": pc.unique(vals.column("c_mktsegment"))}).sort_by(
+        "c_mktsegment")
 
 
 def embedding_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
@@ -672,7 +672,10 @@ def compare_lookup(sf_dir: str):
         return pa.table({"url": pa.array([], pa.string()),
                          "score": pa.array([], pa.float64())})
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    target = docs.sort("doc_id").limit(1).take(1)[0]["text"]
+    first = _top_rows(docs, [("doc_id", "ascending")], 1,
+                      pa.table({"doc_id": pa.array([], pa.int64()),
+                                "text": pa.array([], pa.string())}))
+    target = first.column("text")[0].as_py()
 
     def _as_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -2618,7 +2621,7 @@ def neardup_docs_hamming_audit(sf_dir: str, max_hamming: int = 8):
         )
 
     code_ds = docs.map_batches(_codes, batch_format="pyarrow", batch_size=1024).materialize()
-    tbl = _concat_or(
+    tbl = _collect(
         code_ds,
         pa.table({"doc_id": pa.array([], pa.int64()),
                   "code": pa.array([], pa.uint64())}),
@@ -3054,7 +3057,7 @@ def decontaminate_docs(sf_dir: str, n: int = 3, eval_mod: int = 100):
         return pa.table({"ngram": pa.array(sorted(grams), pa.string())})
 
     parts = docs.map_batches(_eval_partial, batch_format="pyarrow", batch_size=None)
-    eval_tbl = _concat_or(
+    eval_tbl = _collect(
         parts, pa.table({"ngram": pa.array([], pa.string())}))
     eval_set = np.unique(np.asarray(eval_tbl.column("ngram").to_pylist()))
     ref = ray.put(eval_set)
@@ -3122,7 +3125,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5, scale: int = 1 << 20):
         .groupby("token")
         .aggregate(Count(alias_name="df"))
     )
-    df_tbl = _concat_or(
+    df_tbl = _collect(
         dfds, pa.table({"token": pa.array([], pa.string()),
                         "df": pa.array([], pa.int64())}))
     vocab = np.asarray(df_tbl.column("token").to_pylist())
@@ -3217,7 +3220,7 @@ def events_props_extract(sf_dir: str):
         )
 
     parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(
+    tbl = _collect(
         parts,
         pa.table({"event_type": pa.array([], pa.string()),
                   "n": pa.array([], pa.int64()),
@@ -3267,7 +3270,7 @@ def events_value_quantiles(sf_dir: str):
         )
 
     parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(
+    tbl = _collect(
         parts,
         pa.table({"event_type": pa.array([], pa.string()),
                   "value": pa.array([], pa.float64()),
@@ -3466,7 +3469,7 @@ def customers_without_urgent_orders(sf_dir: str):
         return pa.table({"k": pa.array(u, pa.int64())})
 
     parts = orders.map_batches(_keys, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(parts, pa.table({"k": pa.array([], pa.int64())}))
+    tbl = _collect(parts, pa.table({"k": pa.array([], pa.int64())}))
     keys = np.unique(tbl.column("k").to_numpy(zero_copy_only=False))
     ref = ray.put(keys)
 
@@ -3533,8 +3536,8 @@ def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
                          "n": pa.array(out_n, pa.int64())})
 
     parts = ds.map_batches(_mg_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(parts, pa.table({"token": pa.array([], pa.string()),
-                                      "n": pa.array([], pa.int64())}))
+    tbl = _collect(parts, pa.table({"token": pa.array([], pa.string()),
+                                    "n": pa.array([], pa.int64())}))
     if tbl.num_rows == 0:
         return tbl
     toks = np.asarray(tbl.column("token").to_pylist(), dtype=object)
@@ -3576,8 +3579,8 @@ def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
                          "n": pa.array(c.astype(np.int64), pa.int64())})
 
     parts2 = ds.map_batches(_recount, batch_format="pyarrow", batch_size=None)
-    t2 = _concat_or(parts2, pa.table({"token": pa.array([], pa.string()),
-                                      "n": pa.array([], pa.int64())}))
+    t2 = _collect(parts2, pa.table({"token": pa.array([], pa.string()),
+                                    "n": pa.array([], pa.int64())}))
     toks2 = np.asarray(t2.column("token").to_pylist(), dtype=object)
     n2 = t2.column("n").to_numpy(zero_copy_only=False)
     u2, inv2 = np.unique(toks2, return_inverse=True)
@@ -3651,8 +3654,8 @@ def distinct_users_by_type(sf_dir: str, mode: str = "hll"):
                  [float(sketches[t].estimate()) for t in types], pa.float64())}
         )
     parts = ds.map_batches(_exact_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(parts, pa.table({"event_type": pa.array([], pa.string()),
-                                      "user_id": pa.array([], pa.int64())}))
+    tbl = _collect(parts, pa.table({"event_type": pa.array([], pa.string()),
+                                    "user_id": pa.array([], pa.int64())}))
     if tbl.num_rows == 0:
         return pa.table({"event_type": pa.array([], pa.string()),
                          "n_distinct_users": pa.array([], pa.int64())})
@@ -3714,7 +3717,7 @@ def events_pivot(sf_dir: str, driver_merge_max_rows: int = 5_000_000):
         return pa.table(cols)
 
     if driver_merge_max_rows > 0:
-        tbl = _concat_or(
+        tbl = _collect(
             parts, pa.table({"user_id": pa.array([], pa.int64()),
                              "event_type": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())}))
@@ -3738,7 +3741,7 @@ def events_pivot(sf_dir: str, driver_merge_max_rows: int = 5_000_000):
         u = np.unique(np.asarray(batch.column("event_type").to_pylist(), dtype=object))
         return pa.table({"t": pa.array(u.tolist(), pa.string())})
 
-    ttbl = _concat_or(
+    ttbl = _collect(
         parts.map_batches(_types_of, batch_format="pyarrow", batch_size=None),
         pa.table({"t": pa.array([], pa.string())}),
     )
@@ -3781,9 +3784,9 @@ def user_funnel_stages(sf_dir: str):
                          "first_ts": pa.array(ts[keep], pa.int64())})
 
     parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(parts, pa.table({"user_id": pa.array([], pa.int64()),
-                                      "event_type": pa.array([], pa.string()),
-                                      "first_ts": pa.array([], pa.int64())}))
+    tbl = _collect(parts, pa.table({"user_id": pa.array([], pa.int64()),
+                                    "event_type": pa.array([], pa.string()),
+                                    "first_ts": pa.array([], pa.int64())}))
     if tbl.num_rows == 0:
         return pa.table({"user_id": pa.array([], pa.int64()),
                          "stage": pa.array([], pa.int64())})
@@ -3850,9 +3853,9 @@ def events_value_quantiles_approx(sf_dir: str, k: int = 1024):
         )
 
     parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _concat_or(parts, pa.table({"event_type": pa.array([], pa.string()),
-                                      "value": pa.array([], pa.float64()),
-                                      "w": pa.array([], pa.int64())}))
+    tbl = _collect(parts, pa.table({"event_type": pa.array([], pa.string()),
+                                    "value": pa.array([], pa.float64()),
+                                    "w": pa.array([], pa.int64())}))
     et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
     v = tbl.column("value").to_numpy(zero_copy_only=False)
     w = tbl.column("w").to_numpy(zero_copy_only=False)
@@ -4245,15 +4248,12 @@ def validate_docs(sf_dir: str):
         n = batch.column("n").to_numpy(zero_copy_only=False)
         return pa.table({"d": pa.array([int((n - 1).sum())], pa.int64())})
 
-    dup = (
-        idc.map_batches(_dup_partial, batch_format="pyarrow", batch_size=None)
-        .sum("d")
-    )
-    out = pa.concat_tables(
-        list(scalars.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"rule": pa.array([], pa.string()),
-                      "n_violations": pa.array([], pa.int64())})]
-    )
+    dup = pc.sum(_collect(
+        idc.map_batches(_dup_partial, batch_format="pyarrow", batch_size=None),
+        pa.table({"d": pa.array([], pa.int64())}),
+    ).column("d")).as_py()
+    out = _collect(scalars, pa.table({"rule": pa.array([], pa.string()),
+                                      "n_violations": pa.array([], pa.int64())}))
     # a zero-row corpus yields no scalar partials at all — the report must
     # still carry every rule (the oracle's UNION branches each return a
     # 0-count row on empty input)
@@ -4778,20 +4778,11 @@ def revenue_by_mktsegment(sf_dir: str):
     the partial column widens to two int64 limbs, same shape)."""
     from ray.data.aggregate import Sum
 
-    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-    def _collect(ds_, cols):
-        return pa.concat_tables(
-            list(ds_.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-            or [pa.table({c: pa.array([], pa.int64()) for c in cols})]
-        )
-
-    ot = _collect(orders, ["o_orderkey", "o_custkey"])
+    ot = _read_collect(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     ok = ot.column("o_orderkey").to_numpy(zero_copy_only=False)
     oc = ot.column("o_custkey").to_numpy(zero_copy_only=False)
     oo = np.argsort(ok, kind="stable")
-    ct = _collect(cust, ["c_custkey", "c_mktsegment"])
+    ct = _read_collect(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     ck = ct.column("c_custkey").to_numpy(zero_copy_only=False)
     cs = np.asarray(ct.column("c_mktsegment").to_pylist(), dtype=object)
     co = np.argsort(ck, kind="stable")

@@ -157,7 +157,9 @@ _JW_MAX_CHARS = 512
 
 
 def _collect(ds: "ray.data.Dataset", empty: pa.Table) -> pa.Table:
-    """A (small) dataset gathered on the driver as one table."""
+    """A (small) dataset gathered on the driver as one table. Ray emits no
+    blocks and no schema for a zero-row dataset, so the caller supplies
+    the empty-case table (every query stays total on a 0-row corpus)."""
     return pa.concat_tables(
         list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")) or [empty]
     )

@@ -34,6 +34,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from dedupe_ray.stages.candidates import _collect
 from dedupe_ray.stages.groupapply import sorted_group_apply
 
 logger = logging.getLogger(__name__)
@@ -217,8 +218,10 @@ def _edge_stats(edges: "ray.data.Dataset") -> tuple[int, int]:
         return pa.table({"chk": pa.array([int(h.sum(dtype=np.uint64))], pa.uint64()),
                          "n": pa.array([len(src)], pa.int64())})
 
-    t = edges.map_batches(_chk, batch_size=None, batch_format="pyarrow").to_pandas()
-    return int(t["n"].sum()), int(np.uint64(t["chk"].to_numpy(dtype=np.uint64).sum()))
+    t = _collect(edges.map_batches(_chk, batch_size=None, batch_format="pyarrow"),
+                 pa.table({"chk": pa.array([], pa.uint64()), "n": pa.array([], pa.int64())}))
+    n = t.column("n").to_numpy(zero_copy_only=False)
+    return int(n.sum()), int(t.column("chk").to_numpy(zero_copy_only=False).sum(dtype=np.uint64))
 
 
 def connected_components_distributed(

@@ -33,8 +33,11 @@ def sort_merge_join(
     right_on: str | None = None,
 ) -> "ray.data.Dataset":
     """Inner equi-join; the output key column is named ``left_on`` and
-    carries every other column from both sides (names must not collide)."""
+    carries every other column from both sides (names must not collide).
+    Both sides are materialized first (the sort holds them anyway), so
+    their schemas cost no execution."""
     right_on = right_on or left_on
+    left, right = left.materialize(), right.materialize()
     l_schema = left.schema()
     r_schema = right.schema()
     l_cols = [c for c in l_schema.names if c != left_on]

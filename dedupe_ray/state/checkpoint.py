@@ -95,7 +95,6 @@ class CheckpointedRun:
         fn,
         upstream: list[str] | None = None,
         extra_metrics: dict | None = None,
-        partition_cols: list[str] | None = None,
         schema: pa.Schema | None = None,
     ) -> "ray.data.Dataset | pa.Table":
         """Run (or resume) one stage.
@@ -103,11 +102,10 @@ class CheckpointedRun:
         ``fn() -> Dataset``: the result is written to partitioned parquet,
         counted from the file footers, and returned as a read of the
         checkpoint, so downstream stages consume the checkpoint, not the
-        live lineage. ``partition_cols`` hive-partitions it (one directory
-        per value) so later consumers can PRUNE whole partitions by path.
-        A Dataset that yields no rows commits one empty file with the
-        declared ``schema`` (a lazy Dataset's own schema would cost a
-        hidden ``limit(1)`` execution), else an ``__empty__`` marker column.
+        live lineage. A Dataset that yields no rows commits one empty file
+        with the declared ``schema`` (a lazy Dataset's own schema would cost
+        a hidden ``limit(1)`` execution), else an ``__empty__`` marker
+        column.
 
         ``fn() -> pa.Table`` (a small driver-side stage output): written
         with one ``pq.write_table`` and returned as is — no Ray write, no
@@ -134,11 +132,11 @@ class CheckpointedRun:
             os.makedirs(tmp)
             pq.write_table(out, os.path.join(tmp, "part-00000.parquet"))
         else:
-            out.write_parquet(tmp, partition_cols=partition_cols)
+            out.write_parquet(tmp)
             # a zero-row dataset writes NO files — commit an explicit empty
             # parquet so the checkpoint stays readable
             os.makedirs(tmp, exist_ok=True)
-            if not glob.glob(os.path.join(tmp, "**", "*.parquet"), recursive=True):
+            if not glob.glob(os.path.join(tmp, "*.parquet")):
                 schema = schema or pa.schema([("__empty__", pa.int8())])
                 pq.write_table(schema.empty_table(), os.path.join(tmp, "empty.parquet"))
         wall = time.monotonic() - t0

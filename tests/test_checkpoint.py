@@ -210,40 +210,19 @@ def test_band_index_persist_and_match_without_reextraction(
     assert dup.mean() >= 0.95, dup.mean()
 
 
-def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
-    """VERDICT r3 #7: the persisted band index is hive-partitioned by
-    band_key range, and a small increment's match touches a STRICT SUBSET of
-    the shard directories — with results identical to the unpruned read."""
+def _increment(pages_parquet: str, n: int, suffix: str) -> pa.Table:
+    """The first ``n`` corpus pages under new urls."""
+    src = pq.read_table(pages_parquet).slice(0, n)
+    return src.set_column(
+        src.schema.get_field_index("url"), "url",
+        pa.array([u + suffix for u in src.column("url").to_pylist()], pa.string()),
+    )
+
+
+def _increment_keys(inc: pa.Table, cfg: NearDupConfig):
     import numpy as np
     import ray.data
 
-    from dedupe_ray.pipelines.incremental import (
-        build_band_index,
-        incremental_match,
-        incremental_match_indexed,
-        pruned_band_paths,
-    )
-
-    cfg = NearDupConfig()
-    idx = str(tmp_path / "pruned_index")
-    corpus = ray.data.read_parquet(pages_parquet)
-    build_band_index(corpus, idx, cfg, input_fingerprint="fp1")
-    shard_dirs = [
-        e for e in os.listdir(os.path.join(idx, "bands")) if e.startswith("band_shard=")
-    ]
-    assert len(shard_dirs) > 1, "bands checkpoint is not hive-partitioned"
-
-    # a 2-page increment lands in far fewer shards than exist
-    src = pq.read_table(pages_parquet).slice(0, 2)
-    inc = src.set_column(
-        src.schema.get_field_index("url"), "url",
-        pa.array([u + "?p" for u in src.column("url").to_pylist()], pa.string()),
-    )
-    out = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg)
-    assert out["new_status"].num_rows == 2
-    assert all(d is not None for d in out["new_status"].column("duplicate_of").to_pylist())
-
-    # the pruning helper selects a strict subset for those keys
     from dedupe_ray.pipelines.neardup import signatures_dataset
     from dedupe_ray.stages.banding import band_emitter
 
@@ -255,24 +234,189 @@ def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
             .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
         )
     )
-    keys = np.unique(banded.column("band_key").to_numpy(zero_copy_only=False))
-    paths, n_hit, total = pruned_band_paths(idx, keys)
-    assert len(paths) > 0 and 0 < n_hit < total, (n_hit, total)
+    return np.unique(banded.column("band_key").to_numpy(zero_copy_only=False))
 
-    # pruned match == full-band-read match
-    full_bands = ray.data.read_parquet(
-        os.path.join(idx, "bands"), columns=["band_key", "doc_id"]
+
+def _edge_pairs(t: pa.Table) -> list:
+    return sorted(zip(t.column("src").to_pylist(), t.column("dst").to_pylist()))
+
+
+def _rewrite_bands(idx: str, write) -> None:
+    """Replace the index's band files with ``write(bands_dir, table)``'s,
+    keeping the lineage (the commit marker)."""
+    bands_dir = os.path.join(idx, "bands")
+    tbl = pq.read_table(bands_dir).sort_by("band_key")
+    for f in os.listdir(bands_dir):
+        if f != "_LINEAGE.json":
+            os.remove(os.path.join(bands_dir, f))
+    write(bands_dir, tbl)
+
+
+def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
+    """VERDICT r3 #7: the persisted band index is one run sorted by
+    band_key, and a match reads only the row groups whose footer
+    [min, max] holds one of the increment's keys — with the edges of
+    ``incremental_match`` re-banding the corpus signatures."""
+    import ray.data
+
+    from dedupe_ray.pipelines.incremental import (
+        build_band_index,
+        incremental_match,
+        incremental_match_indexed,
+        pruned_band_paths,
     )
+
+    cfg = NearDupConfig()
+    idx = str(tmp_path / "pruned_index")
+    build_band_index(ray.data.read_parquet(pages_parquet), idx, cfg, input_fingerprint="fp1")
+    # one key-sorted run: no hive directories, files in ascending disjoint
+    # key ranges, row groups in key order within each
+    bands_dir = os.path.join(idx, "bands")
+    files = sorted(os.path.join(bands_dir, f) for f in os.listdir(bands_dir)
+                   if f.endswith(".parquet"))
+    assert files and all(os.path.isfile(f) for f in files)
+    ranges = []
+    for f in files:
+        md = pq.read_metadata(f)
+        ranges += [(md.row_group(i).column(0).statistics.min,
+                    md.row_group(i).column(0).statistics.max)
+                   for i in range(md.num_row_groups)]
+    ranges.sort()
+    assert all(hi <= lo2 for (_, hi), (lo2, _) in zip(ranges, ranges[1:]))
+
+    # a 2-page increment matches its corpus originals
+    inc = _increment(pages_parquet, 2, "?p")
+    out = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg)
+    assert out["new_status"].num_rows == 2
+    assert all(d is not None for d in out["new_status"].column("duplicate_of").to_pylist())
     corpus_sigs = ray.data.read_parquet(os.path.join(idx, "signatures"))
-    from dedupe_ray.pipelines.incremental import incremental_match as _im
+    unpruned = incremental_match(ray.data.from_arrow(inc), corpus_sigs, cfg)
+    assert _edge_pairs(out["edges"]) == _edge_pairs(unpruned["edges"])
+    assert out["new_status"].equals(unpruned["new_status"])
 
-    out_full = incremental_match(
-        ray.data.from_arrow(inc), corpus_sigs, cfg, corpus_bands=full_bands
-    )
-    key = lambda t: sorted(
-        zip(t.column("src").to_pylist(), t.column("dst").to_pylist())
-    )
-    assert key(out["edges"]) == key(out_full["edges"])
+    # the same sorted run in small row groups (a corpus-sized index has
+    # thousands): the pruned read is a strict subset, the edges unchanged
+    _rewrite_bands(idx, lambda d, t: pq.write_table(t, os.path.join(d, "part-0.parquet"),
+                                                    row_group_size=64))
+    paths, n_hit, total = pruned_band_paths(idx, _increment_keys(inc, cfg))
+    assert len(paths) == 1 and 0 < n_hit < total, (n_hit, total)
+    out_small = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg)
+    assert _edge_pairs(out_small["edges"]) == _edge_pairs(unpruned["edges"])
+    assert out_small["new_status"].equals(unpruned["new_status"])
+
+
+def test_pruned_band_paths_equals_brute_force_unsigned(tmp_path):
+    """Footer pruning keeps exactly the row groups whose band_key
+    [min, max] holds a key, compared as uint64: the index straddles 2^63,
+    so a signed compare would lose the row group that crosses it."""
+    import numpy as np
+
+    from dedupe_ray.pipelines.incremental import _band_row_groups, pruned_band_paths
+
+    rng = np.random.default_rng(5)
+    keys = np.unique(np.concatenate([
+        rng.integers(0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True),
+        np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1], np.uint64),
+    ]))
+    bands_dir = tmp_path / "idx" / "bands"
+    bands_dir.mkdir(parents=True)
+    for i, part in enumerate(np.array_split(keys, 3)):
+        pq.write_table(pa.table({"band_key": pa.array(part, pa.uint64()),
+                                 "doc_id": pa.array(np.arange(len(part)), pa.int64())}),
+                       str(bands_dir / f"part-{i}.parquet"), row_group_size=50)
+    absent = rng.integers(0, 2**64 - 1, 40, dtype=np.uint64, endpoint=True)
+    query = np.concatenate([keys[::97], np.array([2**63], np.uint64), absent])
+
+    # brute force: every row group's [min, max] from its values, as Python ints
+    want, straddling, total = set(), set(), 0
+    for f in sorted(os.listdir(bands_dir)):
+        pf = pq.ParquetFile(str(bands_dir / f))
+        for rg in range(pf.num_row_groups):
+            col = pf.read_row_group(rg).column("band_key").to_pylist()
+            total += 1
+            if any(min(col) <= int(k) <= max(col) for k in query):
+                want.add((f, rg))
+            if min(col) < 2**63 <= max(col):
+                straddling.add((f, rg))
+    assert straddling and straddling <= want
+
+    paths, n_hit, n_total = pruned_band_paths(str(tmp_path / "idx"), query)
+    assert (n_hit, n_total) == (len(want), total) and n_hit < total
+    assert sorted(os.path.basename(p) for p in paths) == sorted({f for f, _ in want})
+    hits, _ = _band_row_groups(str(tmp_path / "idx"), query)
+    assert {(os.path.basename(p), rg) for p, rgs in hits for rg in rgs} == want
+
+
+def test_band_index_in_shard_layout_matches_sorted_run(ray_session, pages_parquet, tmp_path):
+    """An index whose bands sit in the older ``band_shard=N`` hive
+    directories (256 shards on the top key byte) still reads: the same
+    edges and ``new_status`` as the sorted run."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray.data
+
+    from dedupe_ray.pipelines.incremental import build_band_index, incremental_match_indexed
+
+    cfg = NearDupConfig()
+    idx = str(tmp_path / "idx")
+    build_band_index(ray.data.read_parquet(pages_parquet), idx, cfg, input_fingerprint="fp1")
+    inc = ray.data.from_arrow(_increment(pages_parquet, 20, "?s"))
+    sorted_run = incremental_match_indexed(inc, idx, cfg)
+
+    def _shards(bands_dir: str, tbl: pa.Table) -> None:
+        shard = tbl.column("band_key").to_numpy() >> np.uint64(56)
+        for s in np.unique(shard):
+            d = os.path.join(bands_dir, f"band_shard={int(s)}")
+            os.makedirs(d)
+            pq.write_table(tbl.filter(pc.equal(pa.array(shard), s)), os.path.join(d, "0.parquet"))
+
+    _rewrite_bands(idx, _shards)
+    assert len(os.listdir(os.path.join(idx, "bands"))) > 100
+    sharded = incremental_match_indexed(inc, idx, cfg)
+    assert sorted_run["edges"].num_rows > 0
+    assert _edge_pairs(sharded["edges"]) == _edge_pairs(sorted_run["edges"])
+    assert sharded["new_status"].equals(sorted_run["new_status"])
+
+
+def test_band_index_of_empty_corpus_marks_every_page_fresh(ray_session, tmp_path):
+    import ray.data
+
+    from dedupe_ray.fixtures.pages import PAGES_SCHEMA
+    from dedupe_ray.pipelines.incremental import build_band_index, incremental_match_indexed
+
+    cfg = NearDupConfig()
+    idx = str(tmp_path / "idx")
+    m = build_band_index(ray.data.from_arrow(PAGES_SCHEMA.empty_table()), idx, cfg)
+    assert m["signatures"]["rows"] == 0 and m["bands"]["rows"] == 0
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+    inc = pa.table({
+        "url": pa.array([f"new://{i}" for i in range(4)], pa.string()),
+        "warc_ts": pa.array([1, 2, 3, 4], pa.timestamp("us")),
+        "text": [" ".join(f"{w}{i}x{j}" for j in range(40) for w in words) for i in range(4)],
+        "lang": ["en"] * 4,
+    })
+    out = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg, extract=False)
+    assert out["new_status"].num_rows == 4
+    assert out["new_status"].column("duplicate_of").null_count == 4
+    assert out["edges"].num_rows == 0
+
+
+def test_band_index_signatures_read_back_fixed_size(ray_session, pages_parquet, tmp_path):
+    """The signatures checkpoint keeps ``minhash`` as
+    ``fixed_size_list<uint32>[num_perms]`` through the parquet round trip,
+    so the persisted corpus unions with freshly signed increments as is."""
+    import ray.data
+
+    from dedupe_ray.pipelines.incremental import build_band_index
+
+    cfg = NearDupConfig()
+    idx = str(tmp_path / "idx")
+    build_band_index(ray.data.read_parquet(pages_parquet), idx, cfg)
+    want = pa.list_(pa.uint32(), cfg.minhash.num_perms)
+    assert pq.read_table(os.path.join(idx, "signatures")).schema.field("minhash").type == want
+    batch = next(iter(ray.data.read_parquet(os.path.join(idx, "signatures"))
+                      .iter_batches(batch_size=None, batch_format="pyarrow")))
+    assert batch.schema.field("minhash").type == want
 
 
 def test_cli_index_then_match(ray_session, pages_parquet, tmp_path, capsys):

