@@ -100,54 +100,28 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "incremental_match_docs": Q.incremental_match_docs,
         "containment_docs": Q.containment_docs,
         "training_corpus": Q.training_corpus,
-        "distinct_users_hll": Q.distinct_users_hll,
         # SQL-expressible but OUTSIDE the driver's 50-entry window (it is
         # already full of oracled queries) — their DuckDB oracles live in
         # ``local_oracle_sql()`` and run in the local replica gate
         # (tests/test_queries_oracle.py::test_local_sql_oracled_queries).
         "fuzzy_match_parts": Q.fuzzy_match_parts,
         "fuzzy_match_docs": Q.fuzzy_match_docs,
-        "orders_lineitem_join_bc": Q.orders_lineitem_join_bc,
         "decontaminate_docs": Q.decontaminate_docs,
         "tfidf_top_terms": Q.tfidf_top_terms,
-        "events_props_extract": Q.events_props_extract,
-        "events_value_quantiles": Q.events_value_quantiles,
-        "events_cumulative": Q.events_cumulative,
         "canonical_url_dedup": Q.canonical_url_dedup,
-        "customers_without_urgent_orders": Q.customers_without_urgent_orders,
         "top_tokens_mg": Q.top_tokens_mg,
-        "distinct_users_by_type_exact": Q.distinct_users_by_type_exact,
-        # approximate sibling of the oracled exact grouped distinct
-        "distinct_users_by_type_hll": Q.distinct_users_by_type,
-        "events_pivot": Q.events_pivot,
-        "user_funnel_stages": Q.user_funnel_stages,
-        # approximate sibling of the oracled exact quantiles
-        "events_value_quantiles_approx": Q.events_value_quantiles_approx,
         # image near-dup end-to-end (decode is not SQL-expressible;
         # planted-group recovery pinned by test)
         "media_neardup": Q.media_neardup,
-        "events_time_deltas": Q.events_time_deltas,
-        "lineitem_rollup": Q.lineitem_rollup,
-        "latest_event_per_user": Q.latest_event_per_user,
-        "orders_lineitem_join_bloom": Q.orders_lineitem_join_bloom,
         "weighted_sample_docs": Q.weighted_sample_docs,
         "validate_docs": Q.validate_docs,
         "normalize_docs": Q.normalize_docs,
-        "events_value_histogram": Q.events_value_histogram,
         "snapshot_diff_docs": Q.snapshot_diff_docs,
         "top_bigrams": Q.top_bigrams,
         "quality_by_source": Q.quality_by_source,
-        "events_value_percent_rank": Q.events_value_percent_rank,
         "segment_rewrite_docs": Q.segment_rewrite_docs,
         "cross_source_tokens": Q.cross_source_tokens,
-        "revenue_by_mktsegment": Q.revenue_by_mktsegment,
-        "events_moving_avg": Q.events_moving_avg,
-        "customer_urgent_order_counts": Q.customer_urgent_order_counts,
-        "events_anomaly_zscore": Q.events_anomaly_zscore,
-        "events_type_transitions": Q.events_type_transitions,
-        "orders_lineitem_join_hp": Q.orders_lineitem_join_hp,
         "token_freq_exact": Q.token_freq_exact,
-        "events_retention_cohorts": Q.events_retention_cohorts,
         "doc_tokens_long": Q.doc_tokens_long,
         # CMS sibling of the oracled exact probe frequencies
         "token_freq_cms": Q.token_freq_cms,
@@ -675,14 +649,6 @@ def local_oracle_sql() -> dict[str, str]:
             f"SELECT * FROM (SELECT ka AS id_a, kb AS id_b, {_JW_SQL} AS jw "
             "FROM p) WHERE jw >= 0.95"
         ),
-        "orders_lineitem_join_bc": (
-            "SELECT l_orderkey, l_linenumber, l_quantity, o_orderdate "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
-        ),
-        "orders_lineitem_join_hp": (
-            "SELECT l_orderkey, l_linenumber, l_quantity, o_orderdate "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
-        ),
         "decontaminate_docs": (
             # word-3-gram eval-set overlap; ngram CTE = the minhash-audit
             # shingle construction; n_hits counts OCCURRENCES, so the flat
@@ -717,30 +683,6 @@ def local_oracle_sql() -> dict[str, str]:
             "row_number() OVER (PARTITION BY tf.doc_id "
             "ORDER BY tf.tf * 1048576 // df.df DESC, tf.token) AS rk "
             "FROM tf JOIN df USING (token)) WHERE rk <= 5"
-        ),
-        "events_props_extract": (
-            "WITH e AS (SELECT event_type, "
-            "CAST(json_extract_string(props, '$.k') AS BIGINT) AS k FROM events) "
-            "SELECT event_type, CAST(count(*) AS BIGINT) AS n, "
-            "CAST(count(*) FILTER (WHERE k IS NULL) AS BIGINT) AS n_null, "
-            "CAST(COALESCE(sum(k), 0) AS BIGINT) AS sum_k, "
-            "min(k) AS min_k, max(k) AS max_k "
-            "FROM e GROUP BY event_type"
-        ),
-        "events_value_quantiles": (
-            "SELECT event_type, CAST(count(*) AS BIGINT) AS n, "
-            "percentile_disc(0.5) WITHIN GROUP (ORDER BY value) AS p50, "
-            "percentile_disc(0.9) WITHIN GROUP (ORDER BY value) AS p90, "
-            "percentile_disc(0.99) WITHIN GROUP (ORDER BY value) AS p99 "
-            "FROM events GROUP BY event_type"
-        ),
-        "events_cumulative": (
-            "SELECT event_id, user_id, "
-            "CAST(count(*) OVER w AS BIGINT) AS cum_n, "
-            "CAST(sum(CAST(floor(value * 100 + 0.5) AS BIGINT)) OVER w "
-            "AS BIGINT) AS cum_cents FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS UNBOUNDED PRECEDING)"
         ),
         "canonical_url_dedup": (
             # replay the FULL canonicalizer over the same synthesized messy
@@ -792,58 +734,12 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT canonical_url, CAST(count(*) AS BIGINT) AS n_dups, "
             "min(doc_id) AS keep_id FROM canon GROUP BY canonical_url"
         ),
-        "customers_without_urgent_orders": (
-            "SELECT c_custkey, c_name, c_mktsegment FROM customer c "
-            "WHERE NOT EXISTS (SELECT 1 FROM orders o "
-            "WHERE o.o_custkey = c.c_custkey AND o.o_orderpriority = '1-URGENT')"
-        ),        "top_tokens_mg": (
+        "top_tokens_mg": (
             # identical semantics to the driver-oracled top_tokens: the
             # Misra-Gries two-pass variant must produce the SAME exact top-20
             "SELECT t AS token, count(*) AS n FROM documents, "
             "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS u(t) "
             "GROUP BY t ORDER BY n DESC, token LIMIT 20"
-        ),
-        "distinct_users_by_type_exact": (
-            "SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) "
-            "AS n_distinct_users FROM events GROUP BY event_type"
-        ),
-        "events_pivot": (
-            # the pivot columns are the sorted event_type values of the
-            # corpus (the Ray side discovers them; this corpus has five)
-            "SELECT user_id, "
-            "CAST(count(*) FILTER (WHERE event_type = 'click') AS BIGINT) AS n_click, "
-            "CAST(count(*) FILTER (WHERE event_type = 'error') AS BIGINT) AS n_error, "
-            "CAST(count(*) FILTER (WHERE event_type = 'purchase') AS BIGINT) AS n_purchase, "
-            "CAST(count(*) FILTER (WHERE event_type = 'signup') AS BIGINT) AS n_signup, "
-            "CAST(count(*) FILTER (WHERE event_type = 'view') AS BIGINT) AS n_view "
-            "FROM events GROUP BY user_id"
-        ),
-        "events_time_deltas": (
-            "WITH d AS (SELECT user_id, epoch_us(ts - lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id)) AS gap FROM events) "
-            "SELECT user_id, CAST(count(gap) AS BIGINT) AS n_gaps, "
-            "CAST(COALESCE(sum(gap), 0) AS BIGINT) AS sum_gap_us, "
-            "CAST(COALESCE(max(gap), 0) AS BIGINT) AS max_gap_us "
-            "FROM d GROUP BY user_id"
-        ),
-        "lineitem_rollup": (
-            "SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag, "
-            "COALESCE(l_linestatus, 'ALL') AS l_linestatus, "
-            "sum(l_quantity) AS sum_qty, CAST(count(*) AS BIGINT) AS n "
-            "FROM lineitem GROUP BY ROLLUP(l_returnflag, l_linestatus)"
-        ),
-        "latest_event_per_user": (
-            "SELECT user_id, event_id AS last_event_id, "
-            "event_type AS last_type, ts AS last_ts FROM events "
-            "QUALIFY row_number() OVER (PARTITION BY user_id "
-            "ORDER BY ts DESC, event_id DESC) = 1"
-        ),
-        "orders_lineitem_join_bloom": (
-            # a Bloom filter has no false negatives and the exact stage
-            # removes false positives → result equals the plain filtered join
-            "SELECT l_orderkey, l_linenumber, l_quantity, o_orderdate "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "WHERE o_orderpriority = '1-URGENT'"
         ),
         "weighted_sample_docs": (
             # mix64 = the fingerprint finalizer replayed in HUGEINT wrap
@@ -882,13 +778,6 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT doc_id, norm_text, "
             "CAST(length(norm_text) AS BIGINT) AS n_chars_norm, "
             "norm_text <> text AS changed FROM n"
-        ),
-        "events_value_histogram": (
-            "WITH c AS (SELECT event_type, "
-            "CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents FROM events) "
-            "SELECT event_type, CAST(floor(cents / 500.0) AS BIGINT) AS bin, "
-            "CAST(floor(cents / 500.0) AS BIGINT) * 500 AS bin_lo_cents, "
-            "CAST(count(*) AS BIGINT) AS n FROM c GROUP BY 1, 2, 3"
         ),
         "snapshot_diff_docs": (
             # both snapshots derive deterministically from documents; the
@@ -938,13 +827,6 @@ def local_oracle_sql() -> dict[str, str]:
             "CAST(sum(qfp) AS DOUBLE) / greatest(count(*), 1) AS mean_q_fp "
             "FROM q GROUP BY source"
         ),
-        "events_value_percent_rank": (
-            # ranks by the SAME integer cents the Ray side buckets on;
-            # count_below/(n-1) is one IEEE division of exact ints
-            "SELECT event_id, event_type, percent_rank() OVER "
-            "(PARTITION BY event_type ORDER BY "
-            "CAST(floor(value * 100 + 0.5) AS BIGINT)) AS pr FROM events"
-        ),
         "segment_rewrite_docs": (
             "WITH sp AS (SELECT doc_id, string_split(text, '. ') AS t "
             "FROM documents WHERE text IS NOT NULL), "
@@ -968,50 +850,6 @@ def local_oracle_sql() -> dict[str, str]:
             "AS n_sources, CAST(count(*) AS BIGINT) AS n_total "
             "FROM tok GROUP BY t HAVING count(DISTINCT source) >= 3"
         ),
-        "revenue_by_mktsegment": (
-            # exact fixed-point revenue: cents(price) × (100 − pct-cents
-            # (discount)) — integer sums are order-independent both engines
-            "SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS n_items, "
-            "CAST(sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) * "
-            "(100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) "
-            "AS BIGINT) AS revenue_fp "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment"
-        ),
-        "events_moving_avg": (
-            "WITH c AS (SELECT event_id, user_id, ts, "
-            "CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents FROM events) "
-            "SELECT event_id, user_id, "
-            "CAST(count(*) OVER w AS BIGINT) AS roll_n, "
-            "CAST(sum(cents) OVER w AS BIGINT) AS roll_sum_cents, "
-            "CAST(sum(cents) OVER w AS DOUBLE) / (count(*) OVER w) AS roll_avg "
-            "FROM c WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)"
-        ),
-        "customer_urgent_order_counts": (
-            "SELECT c_custkey, c_name, c_mktsegment, "
-            "CAST(count(o_custkey) AS BIGINT) AS n_urgent "
-            "FROM customer LEFT JOIN orders ON o_custkey = c_custkey "
-            "AND o_orderpriority = '1-URGENT' "
-            "GROUP BY c_custkey, c_name, c_mktsegment"
-        ),
-        "events_anomaly_zscore": (
-            # mean/std derived from EXACT integer moments; z is the same
-            # chain of single IEEE ops the Ray kernel applies
-            "WITH c AS (SELECT event_id, event_type, "
-            "CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents FROM events), "
-            "m AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n, "
-            "CAST(sum(cents) AS BIGINT) AS s1, "
-            "CAST(sum(cents * cents) AS BIGINT) AS s2 "
-            "FROM c GROUP BY event_type), "
-            "st AS (SELECT event_type, CAST(s1 AS DOUBLE) / n AS mean, "
-            "CASE WHEN n > 1 THEN sqrt(CAST(n * s2 - s1 * s1 AS DOUBLE) / "
-            "CAST(n * (n - 1) AS DOUBLE)) ELSE 0.0 END AS std FROM m) "
-            "SELECT c.event_id, c.event_type, "
-            "CASE WHEN st.std > 0 THEN (CAST(c.cents AS DOUBLE) - st.mean) "
-            "/ st.std ELSE 0.0 END AS z "
-            "FROM c JOIN st USING (event_type)"
-        ),
         "token_freq_exact": (
             # probe set = the 50 alphabetically-first distinct tokens;
             # zero-count probes kept (cannot occur by construction — every
@@ -1028,41 +866,6 @@ def local_oracle_sql() -> dict[str, str]:
             "'[a-z0-9]+') AS t FROM documents) "
             "SELECT doc_id, CAST(i AS BIGINT) AS pos, t[i] AS token "
             "FROM tok, UNNEST(range(1, len(t) + 1)) AS u(i)"
-        ),
-        "events_retention_cohorts": (
-            "WITH f AS (SELECT user_id, date_trunc('week', min(ts)) "
-            "AS cohort_week FROM events GROUP BY user_id), "
-            "a AS (SELECT DISTINCT user_id, date_trunc('week', ts) AS week "
-            "FROM events) "
-            "SELECT CAST(f.cohort_week AS TIMESTAMP) AS cohort_week, "
-            "CAST(a.week AS TIMESTAMP) AS week, "
-            "CAST(count(*) AS BIGINT) AS n_users "
-            "FROM a JOIN f USING (user_id) GROUP BY 1, 2"
-        ),
-        "events_type_transitions": (
-            "WITH d AS (SELECT user_id, event_type, lag(event_type) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id) AS prev_type "
-            "FROM events) "
-            "SELECT prev_type, event_type, CAST(count(*) AS BIGINT) AS n "
-            "FROM d WHERE prev_type IS NOT NULL "
-            "GROUP BY prev_type, event_type"
-        ),
-        "user_funnel_stages": (
-            # strictly-increasing first-occurrence chain signup>view>click>
-            # purchase; stage = completed steps, same rule as the kernel
-            "WITH f AS (SELECT user_id, "
-            "min(ts) FILTER (WHERE event_type = 'signup') AS s, "
-            "min(ts) FILTER (WHERE event_type = 'view') AS v, "
-            "min(ts) FILTER (WHERE event_type = 'click') AS c, "
-            "min(ts) FILTER (WHERE event_type = 'purchase') AS p "
-            "FROM events WHERE event_type IN "
-            "('signup', 'view', 'click', 'purchase') GROUP BY user_id) "
-            "SELECT user_id, CAST(CASE "
-            "WHEN s IS NULL THEN 0 "
-            "WHEN v IS NULL OR v <= s THEN 1 "
-            "WHEN c IS NULL OR c <= v THEN 2 "
-            "WHEN p IS NULL OR p <= c THEN 3 "
-            "ELSE 4 END AS BIGINT) AS stage FROM f"
         ),
         "dedup_spans_docs": (
             # ExactSubstr replay: every 8-token window ≥2 occurrences

@@ -45,42 +45,21 @@ BENCH_QUERIES = [
     "vocab_stats",                 # r4: distinct-token partials, no text shuffle
     "fuzzy_match_parts",           # r4: blocked Jaro-Winkler ER (vocabulary grain)
     "fuzzy_match_docs",            # r4: blocked Jaro-Winkler ER (record grain)
-    "orders_lineitem_join_bc",     # r4: broadcast hash join (third strategy)
     "tfidf_top_terms",             # r4: tf-idf keywords (df shuffle + broadcast)
     "decontaminate_docs",          # r4: eval-ngram membership pass
-    "events_value_quantiles",      # r4: exact quantiles via histogram partials
-    "events_props_extract",        # r4: semi-structured (JSON-ish) extraction
-    "events_cumulative",           # r4: per-user running totals (sorted scan)
     "canonical_url_dedup",         # r4: vectorized URL canonicalization dedup
-    "customers_without_urgent_orders",  # r4: broadcast anti-join
     "top_tokens_mg",               # r4: Misra-Gries no-shuffle exact top-k
-    "distinct_users_by_type_exact",  # r4: grouped distinct via pair partials
-    "events_pivot",                # r4: two-phase pivot (discover types, partial counts)
-    "user_funnel_stages",          # r4: ordered-funnel analysis from min-ts partials
-    "events_time_deltas",          # r4: LAG gaps per user (range partition + diff)
-    "lineitem_rollup",             # r4: GROUP BY ROLLUP from one partial pass
-    "latest_event_per_user",       # r4: arg-max partials, events never shuffle
-    "orders_lineitem_join_bloom",  # r4: bloom-prefiltered join (big-big shape)
     "weighted_sample_docs",        # r4: deterministic weighted priority sample
     "validate_docs",               # r4: data-validation audit partials
     "normalize_docs",              # r4: unicode NFC + case/space canonicalization
-    "events_value_histogram",      # r4: fixed-bin histogram from composite partials
     "snapshot_diff_docs",          # r4: crawl-delta diff via tagged-union partition
     "top_bigrams",                 # r4: distributed bigram counts + local top-k
     "quality_by_source",           # r4: fixed-point quality rollup per source
-    "events_value_percent_rank",   # r4: shuffle-free window rank via histogram broadcast
     "segment_rewrite_docs",        # r4: C4 boilerplate removal (rewrite pass)
     "cross_source_tokens",         # r4: distinct-source tokens via pair partials
-    "revenue_by_mktsegment",       # r4: star-schema agg pushdown (fact never shuffles)
-    "events_moving_avg",           # r4: rolling window via clamped cumsum
-    "customer_urgent_order_counts",  # r4: left-join counts via broadcast partials
-    "events_anomaly_zscore",       # r4: z-scores from exact-moment broadcast
-    "events_type_transitions",     # r4: Markov transition counts per user
     "media_neardup",               # r4: image near-dup end-to-end (decode→dhash→LSH)
-    "orders_lineitem_join_hp",     # r4: Grace hash join via tagged union (4th strategy)
     "token_freq_exact",            # r4: probe-token exact counts (broadcast + bincount)
     "token_freq_cms",              # r4: Count-Min point-frequency sketch
-    "events_retention_cohorts",    # r4: cohort matrix via argmin broadcast + pair dedupe
     "dedup_spans_docs",            # r5: ExactSubstr duplicate-span removal (Lee et al.)
     "semdedup_embeddings",         # r5: SemDeDup k-means + within-cluster cosine prune
     "lm_score_docs",               # r5: corpus-bigram-LM scoring (CCNet quality shape)
@@ -99,7 +78,6 @@ SUMMARY_QUERIES = [
     "exact_dedup_docs",
     "media_neardup",
     "orders_lineitem_join",
-    "orders_lineitem_join_bc",
     "embedding_topk",
     "ann_ivf_topk",
     "langid_docs",

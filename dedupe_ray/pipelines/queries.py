@@ -371,34 +371,42 @@ def distinct_mktsegment(sf_dir: str):
         "c_mktsegment")
 
 
-def embedding_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
-    """Exact cosine top-k of the first ``n_queries`` vectors (by vec_id)
-    against the whole corpus. float64 accumulation both here and in the
-    DuckDB oracle. Self-matches included (rank 1, similarity 1)."""
-    from dedupe_ray.stages.ann import brute_force_topk
+_EMPTY_VECTORS = pa.table({"vec_id": pa.array([], pa.int64()),
+                           "embedding": pa.array([], pa.list_(pa.float32()))})
 
+
+def _vector_topk(sf_dir: str, n_queries: int, search) -> pa.Table:
+    """The top-k queries' shared body: the first ``n_queries`` vectors (by
+    vec_id) as the query matrix, ``search(ds, qmat)`` over the corpus, and
+    each result's ``query_id`` (a query-matrix row) mapped to its vec_id."""
     if _table_rows(sf_dir, "embeddings") == 0:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "rank": pa.array([], pa.int64()),
                          "vec_id": pa.array([], pa.int64())})
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = pa.concat_tables(
-        list(
-            ds.map_batches(
-                lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-                batch_format="pyarrow",
-            ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
+    q = _collect(
+        ds.map_batches(lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
+                       batch_format="pyarrow"),
+        _EMPTY_VECTORS,
     ).sort_by("vec_id")
     qmat = (
         q.column("embedding").combine_chunks().flatten().to_numpy(zero_copy_only=False)
         .astype(np.float64)
         .reshape(q.num_rows, -1)  # corpus may hold fewer than n_queries
     )
-    out = brute_force_topk(ds, qmat, k=k)
+    out = search(ds, qmat)
     qids = q.column("vec_id").to_numpy(zero_copy_only=False)
     mapped = pa.array(qids[out.column("query_id").to_numpy(zero_copy_only=False)], pa.int64())
     return out.set_column(0, "query_id", mapped).select(["query_id", "rank", "vec_id"])
+
+
+def embedding_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
+    """Exact cosine top-k of the first ``n_queries`` vectors (by vec_id)
+    against the whole corpus. float64 accumulation both here and in the
+    DuckDB oracle. Self-matches included (rank 1, similarity 1)."""
+    from dedupe_ray.stages.ann import brute_force_topk
+
+    return _vector_topk(sf_dir, n_queries, lambda ds, qmat: brute_force_topk(ds, qmat, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +630,9 @@ def flagship_f1(sf_dir: str, n_pages: int = 2000, seed: int = 77):
 
     fx = generate_pages(n_pages=n_pages, seed=seed)
     out = near_duplicates(ray.data.from_arrow(fx.pages), NearDupConfig(algo="minhash"))
-    tbl = pa.concat_tables(
-        list(out.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    ).select(["url", "cluster_id"])
+    tbl = _collect(out, pa.table({"url": pa.array([], pa.string()),
+                                  "cluster_id": pa.array([], pa.int64())})
+                   ).select(["url", "cluster_id"])
     m = pairwise_f1(tbl, fx.labeled_pairs)
     ppm = lambda x: int(np.floor(1e6 * x + 0.5))  # noqa: E731
     return pa.table(
@@ -939,10 +947,10 @@ def neardup_docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
              "sh": pa.array(blobs, pa.binary())}
         )
 
-    slim = pa.concat_tables(
-        list(sigs.map_batches(_shingle_sets, batch_format="pyarrow", batch_size=None)
-             .iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    )
+    slim = _collect(sigs.map_batches(_shingle_sets, batch_format="pyarrow", batch_size=None),
+                    pa.table({"doc_id": pa.array([], pa.int64()),
+                              "url": pa.array([], pa.string()),
+                              "sh": pa.array([], pa.binary())}))
     dids = slim.column("doc_id").to_numpy(zero_copy_only=False)
     order = np.argsort(dids, kind="stable")
     ids_sorted = dids[order]
@@ -995,11 +1003,8 @@ def neardup_docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
     clusters = connected_components(
         verified, method=cfg.cc_method, local_max_edges=cfg.cc_local_max_edges
     )
-    cl = pa.concat_tables(
-        list(clusters.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"doc_id": pa.array([], pa.int64()),
-                      "cluster_id": pa.array([], pa.int64())})]
-    )
+    cl = _collect(clusters, pa.table({"doc_id": pa.array([], pa.int64()),
+                                      "cluster_id": pa.array([], pa.int64())}))
     urls = np.asarray(slim.column("url").to_pylist(), dtype=object)[order]
     cluster = cluster_lookup(ids_sorted, *id_map(cl, "doc_id", "cluster_id"))
     out = pa.table(
@@ -1014,28 +1019,8 @@ def ann_srp_topk(sf_dir: str, n_queries: int = 5, k: int = 10,
     """LSH-bucketed ANN (scale path) — same queries as ``embedding_topk``."""
     from dedupe_ray.stages.ann import srp_bucket_topk
 
-    if _table_rows(sf_dir, "embeddings") == 0:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = pa.concat_tables(
-        list(
-            ds.map_batches(
-                lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-                batch_format="pyarrow",
-            ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-    ).sort_by("vec_id")
-    qmat = (
-        q.column("embedding").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        .astype(np.float64).reshape(q.num_rows, -1)
-    )
-    out = srp_bucket_topk(ds, qmat, dim=qmat.shape[1], k=k,
-                          hamming_radius=hamming_radius)
-    qids = q.column("vec_id").to_numpy(zero_copy_only=False)
-    mapped = pa.array(qids[out.column("query_id").to_numpy(zero_copy_only=False)], pa.int64())
-    return out.set_column(0, "query_id", mapped).select(["query_id", "rank", "vec_id"])
+    return _vector_topk(sf_dir, n_queries, lambda ds, qmat: srp_bucket_topk(
+        ds, qmat, dim=qmat.shape[1], k=k, hamming_radius=hamming_radius))
 
 
 def segment_dedup_docs(sf_dir: str, min_count: int = 3):
@@ -1068,17 +1053,14 @@ def segment_dedup_docs(sf_dir: str, min_count: int = 3):
         .groupby("s")
         .aggregate(Sum("c", alias_name="c"))
     )
-    rep_parts = list(
+    rep = _collect(
         totals.map_batches(
             lambda b: b.filter(pc.greater_equal(b.column("c"), min_count)).select(["s"]),
             batch_format="pyarrow", batch_size=None,
-        ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-    )
-    rep = (
-        np.sort(np.asarray(pa.concat_tables(rep_parts).column("s").to_pylist()))
-        if rep_parts
-        else np.asarray([], dtype=object)
-    )
+        ),
+        pa.table({"s": pa.array([], pa.string())}),
+    ).column("s").to_pylist()
+    rep = np.sort(np.asarray(rep)) if rep else np.asarray([], dtype=object)
     rep_ref = ray.put(rep)
 
     def _score(batch: pa.Table) -> pa.Table:
@@ -1162,17 +1144,14 @@ def dedup_spans_docs(sf_dir: str, w: int = 8, min_count: int = 2):
         keep = uniq[tot >= min_count]
         return pa.table({"win": pa.array(keep.tolist(), pa.string())})
 
-    rep_parts = list(
+    rep = _collect(
         sorted_group_apply(
             ds.map_batches(_win_partial, batch_format="pyarrow", batch_size=None),
             "h", _rep_block,
-        ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-    )
-    rep = (
-        np.sort(np.asarray(pa.concat_tables(rep_parts).column("win").to_pylist()))
-        if rep_parts
-        else np.asarray([], dtype=object)
-    )
+        ),
+        pa.table({"win": pa.array([], pa.string())}),
+    ).column("win").to_pylist()
+    rep = np.sort(np.asarray(rep)) if rep else np.asarray([], dtype=object)
     rep_ref = ray.put(rep)
 
     def _rewrite(batch: pa.Table) -> pa.Table:
@@ -1252,9 +1231,9 @@ def lm_score_docs(sf_dir: str):
         .groupby("k")
         .aggregate(Sum("c", alias_name="c"))
     )
-    parts = list(totals.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if parts:
-        tbl = pa.concat_tables(parts)
+    tbl = _collect(totals, pa.table({"k": pa.array([], pa.string()),
+                                     "c": pa.array([], pa.int64())}))
+    if tbl.num_rows:
         keys = np.asarray(tbl.column("k").to_pylist(), dtype=object)
         cs = tbl.column("c").to_numpy(zero_copy_only=False)
         is_bi = np.asarray(["\x00" in k for k in keys])
@@ -1334,35 +1313,15 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = 5, k: int = 10, nprobe: int = 4,
     from dedupe_ray.stages.ann import ivf_topk
 
     n_rows = _table_rows(sf_dir, "embeddings")
-    if n_rows == 0:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
-    if n_rows < n_lists:
+    if 0 < n_rows < n_lists:
         # k-means needs >= n_lists training vectors; a tiny corpus trains
         # fewer lists. nprobe tracks the clamp when the caller asked for
         # the exact configuration (nprobe == n_lists), so exactness holds.
         exact = nprobe >= n_lists
-        n_lists = max(1, n_rows)
+        n_lists = n_rows
         nprobe = n_lists if exact else min(nprobe, n_lists)
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = pa.concat_tables(
-        list(
-            ds.map_batches(
-                lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-                batch_format="pyarrow",
-            ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-    ).sort_by("vec_id")
-    qmat = (
-        q.column("embedding").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        .astype(np.float64).reshape(q.num_rows, -1)
-    )
-    out = ivf_topk(ds, qmat, dim=qmat.shape[1], k=k, nprobe=nprobe,
-                   n_lists=n_lists)
-    qids = q.column("vec_id").to_numpy(zero_copy_only=False)
-    mapped = pa.array(qids[out.column("query_id").to_numpy(zero_copy_only=False)], pa.int64())
-    return out.set_column(0, "query_id", mapped).select(["query_id", "rank", "vec_id"])
+    return _vector_topk(sf_dir, n_queries, lambda ds, qmat: ivf_topk(
+        ds, qmat, dim=qmat.shape[1], k=k, nprobe=nprobe, n_lists=n_lists))
 
 
 def ann_srp_exact_topk(sf_dir: str):
@@ -1469,13 +1428,10 @@ def cluster_groups(sf_dir: str):
     from dedupe_ray.stages.groupapply import sorted_group_apply
 
     grouped = sorted_group_apply(members, "cluster_id", _listagg)
-    return pa.concat_tables(
-        list(grouped.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table(
-            {"cluster_id": pa.array([], pa.int64()),
-             "n_members": pa.array([], pa.int64()),
-             "member_urls": pa.array([], pa.list_(pa.string()))})]
-    )
+    return _collect(grouped, pa.table(
+        {"cluster_id": pa.array([], pa.int64()),
+         "n_members": pa.array([], pa.int64()),
+         "member_urls": pa.array([], pa.list_(pa.string()))}))
 
 
 def orders_lineitem_join(sf_dir: str):
@@ -1831,14 +1787,9 @@ def stratified_sample_docs(sf_dir: str, per_lang: int = 20):
         keep = _strat_keep(ids, batch.column("lang").to_pylist(), per_lang)
         return batch.take(pa.array(keep, pa.int64()))
 
-    cand = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"doc_id": pa.array([], pa.int64()),
-                      "lang": pa.array([], pa.string())})]
-    )
+    cand = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
+                    pa.table({"doc_id": pa.array([], pa.int64()),
+                              "lang": pa.array([], pa.string())}))
     ids = cand.column("doc_id").to_numpy(zero_copy_only=False)
     keep = _strat_keep(ids, cand.column("lang").to_pylist(), per_lang)
     return cand.take(pa.array(keep, pa.int64()))
@@ -2068,9 +2019,8 @@ def training_corpus(sf_dir: str):
 
 
 def distinct_users_exact(sf_dir: str):
-    """Exact COUNT(DISTINCT user_id) — the ground-truth companion to
-    ``distinct_users_hll``: per-batch unique partials shrink the stream
-    before the one distinct shuffle; only unique ids move."""
+    """Exact COUNT(DISTINCT user_id): per-batch unique partials shrink the
+    stream before the one distinct shuffle; only unique ids move."""
     from dedupe_ray.stages.groupapply import sorted_group_apply
 
     ds = read_table(sf_dir, "events", ["user_id"])
@@ -2087,35 +2037,6 @@ def distinct_users_exact(sf_dir: str):
 
     n = sorted_group_apply(partials, "user_id", _first).count()
     return pa.table({"n_users": pa.array([n], pa.int64())})
-
-
-def distinct_users_hll(sf_dir: str):
-    """Approximate COUNT(DISTINCT user_id) via a mergeable HyperLogLog:
-    every batch emits ONE register-array partial; the driver max-merges the
-    tiny partials — no shuffle touches the events stream (the sketch
-    pattern for distributed distinct counting at any scale)."""
-    from dedupe_ray.functions.hll import HllSketch
-
-    ds = read_table(sf_dir, "events", ["user_id"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        sk = HllSketch(p=12)
-        ids = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = ids * np.uint64(0x9E3779B97F4A7C15)
-            h ^= h >> np.uint64(29)
-            h *= np.uint64(0xBF58476D1CE4E5B9)
-            h ^= h >> np.uint64(32)
-        sk.add_hashes(h)
-        return pa.table({"registers": pa.array([sk.registers.tobytes()], pa.binary())})
-
-    sk = HllSketch(p=12)
-    for b in ds.map_batches(_partial, batch_format="pyarrow", batch_size=None).iter_batches(
-        batch_size=1 << 20, batch_format="pyarrow"
-    ):
-        for blob in b.column("registers").to_pylist():
-            sk.merge(np.frombuffer(blob, dtype=np.uint8))
-    return pa.table({"approx_distinct_users": pa.array([float(sk.estimate())], pa.float64())})
 
 
 # ---------------------------------------------------------------------------
@@ -2170,11 +2091,9 @@ def _shingle_rows(sf_dir: str, shingle_size: int = 3) -> "ray.data.Dataset":
 def _doc_shingle_sizes(rows: "ray.data.Dataset") -> tuple[np.ndarray, np.ndarray]:
     """Per-doc distinct-shingle counts, collected for broadcast (one row per
     document — the small side)."""
-    sizes = rows.groupby("doc_id").count()
-    parts = list(sizes.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if not parts:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    t = pa.concat_tables(parts)
+    t = _collect(rows.groupby("doc_id").count(),
+                 pa.table({"doc_id": pa.array([], pa.int64()),
+                           "count()": pa.array([], pa.int64())}))
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
     ns = t.column("count()").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(ids)
@@ -2382,15 +2301,10 @@ def compare_lookup_audit(sf_dir: str, target_doc: int = 0, threshold: float = 0.
 
     pat = re.compile(_ASCII_TOKEN_RE_SRC)
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    tgt = pa.concat_tables(
-        list(
-            docs.map_batches(
-                lambda b: b.filter(pc.equal(b.column("doc_id"), target_doc)),
-                batch_format="pyarrow", batch_size=None,
-            ).iter_batches(batch_size=16, batch_format="pyarrow")
-        )
-        or [pa.table({"doc_id": pa.array([], pa.int64()),
-                      "text": pa.array([], pa.string())})]
+    tgt = _collect(
+        docs.map_batches(lambda b: b.filter(pc.equal(b.column("doc_id"), target_doc)),
+                         batch_format="pyarrow", batch_size=None),
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}),
     )
     ttext = tgt.column("text").to_pylist()[0] if tgt.num_rows else ""
     ttoks = pat.findall((ttext or "").lower())
@@ -2485,9 +2399,7 @@ def embedding_neardup_audit(sf_dir: str, threshold: float = 0.42):
                          "dst": pa.array([], pa.int64()),
                          "sim_fp": pa.array([], pa.int64())})
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    corpus = pa.concat_tables(
-        list(ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    )
+    corpus = _collect(ds, _EMPTY_VECTORS)
     n = corpus.num_rows
     ids = corpus.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
     mat = (
@@ -2691,11 +2603,8 @@ def top_tokens(sf_dir: str, k: int = 20):
         return block.take(pa.array(np.sort(order)))
 
     pruned = totals.map_batches(_local_topk, batch_format="pyarrow", batch_size=None)
-    cand = pa.concat_tables(
-        list(pruned.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"token": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64())})]
-    )
+    cand = _collect(pruned, pa.table({"token": pa.array([], pa.string()),
+                                      "n": pa.array([], pa.int64())}))
     items = sorted(
         zip(cand.column("token").to_pylist(), cand.column("n").to_pylist()),
         key=lambda kv: (-kv[1], kv[0]),
@@ -2944,7 +2853,7 @@ def neardup_docs_minhash_audit(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# r4: standalone fuzzy (Jaro-Winkler) entity resolution + third join strategy
+# r4: standalone fuzzy (Jaro-Winkler) entity resolution
 # ---------------------------------------------------------------------------
 
 
@@ -2990,38 +2899,6 @@ def fuzzy_match_docs(sf_dir: str):
     return fuzzy_match_records(
         blocked, "doc_id", "s64", "blk", threshold=0.95, prefix_chars=None
     )
-
-
-def orders_lineitem_join_bc(sf_dir: str):
-    """The same large-large join as ``orders_lineitem_join`` expressed as a
-    BROADCAST hash join: orders (the small side at 1:4 row ratio) is sorted
-    once, shipped once via ray.put, and probed per lineitem batch with a
-    vectorized searchsorted — lineitem (the big side) never shuffles. Third
-    point of the join-strategy comparison (native shuffle / sort-merge /
-    broadcast); same oracle SQL as its siblings."""
-    orders = _read_collect(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    keys = orders.column("o_orderkey").to_numpy(zero_copy_only=False)
-    order = np.argsort(keys, kind="stable")
-    dates = orders.column("o_orderdate").combine_chunks().take(pa.array(order, pa.int64()))
-    ref = ray.put((keys[order], dates))
-
-    def _join(batch: pa.Table) -> pa.Table:
-        k, d = ray.get(ref)
-        lk = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(k, lk), 0, len(k) - 1)
-        hit = k[pos] == lk
-        out = batch.filter(pa.array(hit))
-        return pa.table(
-            {
-                "l_orderkey": out.column("l_orderkey"),
-                "l_linenumber": out.column("l_linenumber"),
-                "l_quantity": out.column("l_quantity"),
-                "o_orderdate": d.take(pa.array(pos[hit], pa.int64())),
-            }
-        )
-
-    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity"])
-    return li.map_batches(_join, batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -3183,178 +3060,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5, scale: int = 1 << 20):
 
 
 # ---------------------------------------------------------------------------
-# r4: semi-structured extraction, exact distributed quantiles, running totals
-# ---------------------------------------------------------------------------
-
-
-def events_props_extract(sf_dir: str):
-    """Semi-structured extraction: pull the integer ``k`` field out of the
-    ``props`` JSON-string column with ONE vectorized RE2-safe
-    ``pc.extract_regex`` per batch (no per-row json.loads), then aggregate
-    per event_type from per-batch integer partials — flat-JSON field
-    extraction is a regex kernel, which keeps the hot path in Arrow."""
-    ds = read_table(sf_dir, "events", ["event_type", "props"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ext = pc.extract_regex(batch.column("props"), r'"k":\s*(?P<k>\d+)')
-        k = pc.struct_field(ext, "k")
-        kn = np.asarray(pc.cast(k, pa.int64()).fill_null(0).to_numpy(zero_copy_only=False))
-        present = np.asarray(pc.is_valid(k).to_numpy(zero_copy_only=False))
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        o = np.argsort(et, kind="stable")
-        et, kn, present = et[o], kn[o], present[o]
-        starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-        seg = np.diff(np.r_[starts, len(et)])
-        sum_k = np.add.reduceat(np.where(present, kn, 0), starts)
-        n_null = np.add.reduceat((~present).astype(np.int64), starts)
-        # min/max over present-only: neutral fill values
-        mn = np.minimum.reduceat(np.where(present, kn, np.iinfo(np.int64).max), starts)
-        mx = np.maximum.reduceat(np.where(present, kn, np.iinfo(np.int64).min), starts)
-        return pa.table(
-            {"event_type": pa.array(et[starts].tolist(), pa.string()),
-             "n": pa.array(seg.astype(np.int64), pa.int64()),
-             "n_null": pa.array(n_null, pa.int64()),
-             "sum_k": pa.array(sum_k, pa.int64()),
-             "min_k": pa.array(mn, pa.int64()),
-             "max_k": pa.array(mx, pa.int64())}
-        )
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(
-        parts,
-        pa.table({"event_type": pa.array([], pa.string()),
-                  "n": pa.array([], pa.int64()),
-                  "n_null": pa.array([], pa.int64()),
-                  "sum_k": pa.array([], pa.int64()),
-                  "min_k": pa.array([], pa.int64()),
-                  "max_k": pa.array([], pa.int64())}),
-    )
-    if tbl.num_rows == 0:
-        return tbl
-    # driver merge over (types × blocks) partial rows only
-    et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-    o = np.argsort(et, kind="stable")
-    starts = np.flatnonzero(np.r_[True, et[o][1:] != et[o][:-1]])
-    cols = {}
-    for name, fn in [("n", np.add), ("n_null", np.add), ("sum_k", np.add),
-                     ("min_k", np.minimum), ("max_k", np.maximum)]:
-        cols[name] = fn.reduceat(tbl.column(name).to_numpy(zero_copy_only=False)[o], starts)
-    return pa.table(
-        {"event_type": pa.array(et[o][starts].tolist(), pa.string()),
-         **{k: pa.array(v, pa.int64()) for k, v in cols.items()}}
-    )
-
-
-def events_value_quantiles(sf_dir: str):
-    """EXACT distributed quantiles (p50/p90/p99 of ``value`` per event_type)
-    via mergeable value-histograms: each batch emits (event_type, value,
-    count) partials — 2-decimal metric columns have bounded distinct values,
-    the classic exact-histogram regime — the driver merges only
-    types × distinct-values rows, cumsums each type's sorted histogram and
-    selects ``percentile_disc`` positions (smallest value whose cumulative
-    count ≥ ⌈p·n⌉). Values pass through untouched (no float arithmetic), so
-    the result is bit-identical to DuckDB's PERCENTILE_DISC."""
-    ds = read_table(sf_dir, "events", ["event_type", "value"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        o = np.lexsort((v, et))
-        et, v = et[o], v[o]
-        starts = np.flatnonzero(np.r_[True, (et[1:] != et[:-1]) | (v[1:] != v[:-1])])
-        cnt = np.diff(np.r_[starts, len(et)]).astype(np.int64)
-        return pa.table(
-            {"event_type": pa.array(et[starts].tolist(), pa.string()),
-             "value": pa.array(v[starts], pa.float64()),
-             "cnt": pa.array(cnt, pa.int64())}
-        )
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(
-        parts,
-        pa.table({"event_type": pa.array([], pa.string()),
-                  "value": pa.array([], pa.float64()),
-                  "cnt": pa.array([], pa.int64())}),
-    )
-    if tbl.num_rows == 0:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "p50": pa.array([], pa.float64()),
-                         "p90": pa.array([], pa.float64()),
-                         "p99": pa.array([], pa.float64())})
-    et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-    v = tbl.column("value").to_numpy(zero_copy_only=False)
-    c = tbl.column("cnt").to_numpy(zero_copy_only=False)
-    o = np.lexsort((v, et))
-    et, v, c = et[o], v[o], c[o]
-    merge = np.flatnonzero(np.r_[True, (et[1:] != et[:-1]) | (v[1:] != v[:-1])])
-    c = np.add.reduceat(c, merge)
-    et, v = et[merge], v[merge]
-    gstart = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-    out = {"event_type": [], "n": [], "p50": [], "p90": [], "p99": []}
-    bounds = np.r_[gstart, len(et)]
-    for gi in range(len(gstart)):
-        lo, hi = bounds[gi], bounds[gi + 1]
-        cum = np.cumsum(c[lo:hi])
-        n = int(cum[-1])
-        out["event_type"].append(et[lo])
-        out["n"].append(n)
-        for p, key in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")]:
-            idx = int(np.searchsorted(cum, int(np.ceil(p * n)), side="left"))
-            out[key].append(float(v[lo + idx]))
-    return pa.table(
-        {"event_type": pa.array(out["event_type"], pa.string()),
-         "n": pa.array(out["n"], pa.int64()),
-         "p50": pa.array(out["p50"], pa.float64()),
-         "p90": pa.array(out["p90"], pa.float64()),
-         "p99": pa.array(out["p99"], pa.float64())}
-    )
-
-
-def events_cumulative(sf_dir: str):
-    """Running totals per user (cumulative window function): for every event,
-    the count and sum-of-cents of that user's events up to and including it,
-    ordered by (ts, event_id). Cents = ``floor(value*100 + 0.5)`` — two
-    single IEEE ops identical in both engines — so the running sum is exact
-    integer math. One single-key range partition on user_id; the in-block
-    per-user ordering and cumulative pass are vectorized (lexsort + cumsum
-    minus group-start offsets)."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def _cum(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"event_id": pa.array([], pa.int64()), "user_id": pa.array([], pa.int64()),
-             "cum_n": pa.array([], pa.int64()), "cum_cents": pa.array([], pa.int64())}
-        )
-        if block.num_rows == 0:
-            return empty
-        eid = block.column("event_id").to_numpy(zero_copy_only=False)
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        ts = block.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        cents = np.floor(
-            block.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        o = np.lexsort((eid, ts, uid))
-        eid, uid, cents = eid[o], uid[o], cents[o]
-        gstart = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        glen = np.diff(np.r_[gstart, len(uid)])
-        pos = np.arange(len(uid)) - np.repeat(gstart, glen)
-        run = np.cumsum(cents)
-        base = np.repeat(run[gstart] - cents[gstart], glen)
-        return pa.table(
-            {"event_id": pa.array(eid, pa.int64()),
-             "user_id": pa.array(uid, pa.int64()),
-             "cum_n": pa.array(pos + 1, pa.int64()),
-             "cum_cents": pa.array(run - base, pa.int64())}
-        )
-
-    return sorted_group_apply(ds, "user_id", _cum)
-
-
-# ---------------------------------------------------------------------------
-# r4: URL canonicalization dedup + anti-join
+# r4: URL canonicalization dedup, Misra-Gries heavy hitters
 # ---------------------------------------------------------------------------
 
 
@@ -3446,42 +3152,6 @@ def canonical_url_dedup(sf_dir: str):
             Sum("p_cnt", alias_name="n_dups"), Min("p_min", alias_name="keep_id")
         )
     )
-
-
-def customers_without_urgent_orders(sf_dir: str):
-    """Anti-join: customers with NO ``1-URGENT`` order (`NOT EXISTS`) — the
-    relational shape behind blocklist filtering ("drop documents whose key
-    appears in the removal list"). The right side is predicate-filtered in
-    the same batch pass that collapses it to DISTINCT keys via per-batch
-    unique partials (8-byte keys, so even a 10^9-order corpus partials down
-    to the distinct-customer set), the driver merges the bounded partials
-    and broadcasts ONCE via ``ray.put``; the left side streams through one
-    vectorized ``np.isin`` mask per batch. When the distinct-key set exceeds
-    worker memory at 100 TB, the fallback is the verify_edges_join shape:
-    hash-partition BOTH sides on the key and anti-join per partition
-    (SCALE.md broadcast-vs-shuffle rule)."""
-    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-
-    def _keys(batch: pa.Table) -> pa.Table:
-        sel = pc.equal(batch.column("o_orderpriority"), "1-URGENT")
-        ck = batch.column("o_custkey").filter(sel)
-        u = np.unique(ck.to_numpy(zero_copy_only=False))
-        return pa.table({"k": pa.array(u, pa.int64())})
-
-    parts = orders.map_batches(_keys, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(parts, pa.table({"k": pa.array([], pa.int64())}))
-    keys = np.unique(tbl.column("k").to_numpy(zero_copy_only=False))
-    ref = ray.put(keys)
-
-    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
-
-    def _anti(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        mask = ~np.isin(ck, ks)
-        return batch.filter(pa.array(mask))
-
-    return cust.map_batches(_anti, batch_format="pyarrow", batch_size=None)
 
 
 def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
@@ -3590,295 +3260,8 @@ def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
                      "n": pa.array(tot[order], pa.int64())})
 
 
-def distinct_users_by_type(sf_dir: str, mode: str = "hll"):
-    """GROUPED distinct counting: distinct users per event_type, both as a
-    mergeable per-group HyperLogLog (``mode="hll"``) and as the exact
-    companion (``mode="exact"``). Per batch, ONE pass groups rows by type
-    and emits either a 4 KiB register-array partial per (type, batch) or the
-    distinct (type, user) pairs; the driver merges only
-    ``types x blocks`` partial rows (register max / pair-unique) — the
-    events stream itself never shuffles. The per-group sketch is the shape
-    for high-cardinality group keys at 100 TB (per-host distinct visitors):
-    register partials compose through any hash-partitioned merge because
-    max() is associative and commutative."""
-    from dedupe_ray.functions.hll import HllSketch
-
-    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
-
-    def _mix(ids: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            h = ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            h ^= h >> np.uint64(29)
-            h *= np.uint64(0xBF58476D1CE4E5B9)
-            h ^= h >> np.uint64(32)
-        return h
-
-    def _hll_partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        ids = batch.column("user_id").to_numpy(zero_copy_only=False)
-        o = np.argsort(et, kind="stable")
-        et, ids = et[o], ids[o]
-        starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-        bounds = np.r_[starts, len(et)]
-        types, blobs = [], []
-        h = _mix(ids)
-        for gi in range(len(starts)):
-            sk = HllSketch(p=12)
-            sk.add_hashes(h[bounds[gi] : bounds[gi + 1]])
-            types.append(et[starts[gi]])
-            blobs.append(sk.registers.tobytes())
-        return pa.table({"event_type": pa.array(types, pa.string()),
-                         "registers": pa.array(blobs, pa.binary())})
-
-    def _exact_partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        ids = batch.column("user_id").to_numpy(zero_copy_only=False)
-        o = np.lexsort((ids, et))
-        et, ids = et[o], ids[o]
-        keep = np.r_[True, (et[1:] != et[:-1]) | (ids[1:] != ids[:-1])]
-        return pa.table({"event_type": pa.array(et[keep].tolist(), pa.string()),
-                         "user_id": pa.array(ids[keep], pa.int64())})
-
-    if mode == "hll":
-        parts = ds.map_batches(_hll_partial, batch_format="pyarrow", batch_size=None)
-        sketches: dict[str, HllSketch] = {}
-        for b in parts.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            for t, blob in zip(b.column("event_type").to_pylist(),
-                               b.column("registers").to_pylist()):
-                sk = sketches.setdefault(t, HllSketch(p=12))
-                sk.merge(np.frombuffer(blob, dtype=np.uint8))
-        types = sorted(sketches)
-        return pa.table(
-            {"event_type": pa.array(types, pa.string()),
-             "approx_distinct_users": pa.array(
-                 [float(sketches[t].estimate()) for t in types], pa.float64())}
-        )
-    parts = ds.map_batches(_exact_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(parts, pa.table({"event_type": pa.array([], pa.string()),
-                                    "user_id": pa.array([], pa.int64())}))
-    if tbl.num_rows == 0:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n_distinct_users": pa.array([], pa.int64())})
-    et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-    ids = tbl.column("user_id").to_numpy(zero_copy_only=False)
-    o = np.lexsort((ids, et))
-    et, ids = et[o], ids[o]
-    keep = np.r_[True, (et[1:] != et[:-1]) | (ids[1:] != ids[:-1])]
-    et = et[keep]
-    starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-    n = np.diff(np.r_[starts, len(et)]).astype(np.int64)
-    return pa.table({"event_type": pa.array(et[starts].tolist(), pa.string()),
-                     "n_distinct_users": pa.array(n, pa.int64())})
-
-
-def distinct_users_by_type_exact(sf_dir: str):
-    return distinct_users_by_type(sf_dir, mode="exact")
-
-
-def events_pivot(sf_dir: str, driver_merge_max_rows: int = 5_000_000):
-    """Pivot (wide conditional aggregation): one row per user with per-type
-    event counts as COLUMNS. ONE pass over the events emits LONG-form
-    (user, type, count) partials — each batch collapses with a single
-    lexsort + run-length, so the type set needs no separate discovery
-    execution. The bounded partials (≤ users × types × blocks rows) merge
-    on the driver and pivot wide there (matrix scatter-add); when the
-    partial table exceeds ``driver_merge_max_rows`` (unbounded user
-    domains at crawl scale) the same long partials instead flow through
-    ONE user_id range partition (`sorted_group_apply`) and pivot per
-    block against the type set already present in the partials — the
-    shuffle moves |users| × |types| integer rows, never events. Column
-    order is the sorted type list, so the schema is deterministic."""
-    ds = read_table(sf_dir, "events", ["user_id", "event_type"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        o = np.lexsort((et, uid))
-        uid, et = uid[o], et[o]
-        starts = np.flatnonzero(np.r_[True, (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])])
-        cnt = np.diff(np.r_[starts, len(uid)]).astype(np.int64)
-        return pa.table({"user_id": pa.array(uid[starts], pa.int64()),
-                         "event_type": pa.array(et[starts].tolist(), pa.string()),
-                         "n": pa.array(cnt, pa.int64())})
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-
-    def _pivot_block(block: pa.Table, types: np.ndarray) -> pa.Table:
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        et = np.asarray(block.column("event_type").to_pylist(), dtype=object)
-        n = block.column("n").to_numpy(zero_copy_only=False)
-        users, uinv = np.unique(uid, return_inverse=True)
-        tinv = np.searchsorted(types, et)
-        mat = np.zeros((len(users), len(types)), np.int64)
-        np.add.at(mat, (uinv, tinv), n)
-        cols = {"user_id": pa.array(users, pa.int64())}
-        for j, t in enumerate(types):
-            cols[f"n_{t}"] = pa.array(mat[:, j], pa.int64())
-        return pa.table(cols)
-
-    if driver_merge_max_rows > 0:
-        tbl = _collect(
-            parts, pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())}))
-        if tbl.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64())})
-        if tbl.num_rows <= driver_merge_max_rows:
-            types = np.unique(
-                np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-            )
-            return _pivot_block(tbl, types)
-        # over the gate: fall through to the distributed path (the long
-        # partials recompute once — the price of discovering the overflow)
-    # distributed path (driver_merge_max_rows=0 skips the driver attempt
-    # entirely): type set from a tiny distinct-type projection of the
-    # partials (types × blocks rows), then ONE user_id range partition of
-    # the long partials — |users| × |types| integer rows shuffle, never
-    # events, and the driver never holds the user axis
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    def _types_of(batch: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(batch.column("event_type").to_pylist(), dtype=object))
-        return pa.table({"t": pa.array(u.tolist(), pa.string())})
-
-    ttbl = _collect(
-        parts.map_batches(_types_of, batch_format="pyarrow", batch_size=None),
-        pa.table({"t": pa.array([], pa.string())}),
-    )
-    types = np.unique(np.asarray(ttbl.column("t").to_pylist(), dtype=object))
-    return sorted_group_apply(
-        parts, "user_id", lambda b: _pivot_block(b, types)
-    )
-
-
-def user_funnel_stages(sf_dir: str):
-    """Funnel analysis: how far each user progresses through the ordered
-    chain signup → view → click → purchase, where each step must FIRST occur
-    strictly after the previous step's first occurrence. Per batch, one
-    lexsort collapses to (user, type, min_ts) partials; the driver merges
-    the bounded partials (users x types rows) and evaluates the chain
-    vectorized — events themselves never shuffle. ``stage`` counts completed
-    steps (0-4); all-integer output, bit-identical to the SQL window
-    replica."""
-    funnel = ["signup", "view", "click", "purchase"]
-    ds = read_table(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        ts = (
-            batch.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        sel = np.isin(et, funnel)
-        uid, et, ts = uid[sel], et[sel], ts[sel]
-        if not len(uid):
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "first_ts": pa.array([], pa.int64())})
-        o = np.lexsort((ts, et, uid))
-        uid, et, ts = uid[o], et[o], ts[o]
-        keep = np.r_[True, (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])]
-        return pa.table({"user_id": pa.array(uid[keep], pa.int64()),
-                         "event_type": pa.array(et[keep].tolist(), pa.string()),
-                         "first_ts": pa.array(ts[keep], pa.int64())})
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(parts, pa.table({"user_id": pa.array([], pa.int64()),
-                                    "event_type": pa.array([], pa.string()),
-                                    "first_ts": pa.array([], pa.int64())}))
-    if tbl.num_rows == 0:
-        return pa.table({"user_id": pa.array([], pa.int64()),
-                         "stage": pa.array([], pa.int64())})
-    uid = tbl.column("user_id").to_numpy(zero_copy_only=False)
-    et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-    ts = tbl.column("first_ts").to_numpy(zero_copy_only=False)
-    o = np.lexsort((ts, et, uid))
-    uid, et, ts = uid[o], et[o], ts[o]
-    keep = np.r_[True, (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])]
-    uid, et, ts = uid[keep], et[keep], ts[keep]
-    users = np.unique(uid)
-    # first_ts per (user, step) into a dense matrix; missing = sentinel max
-    sentinel = np.iinfo(np.int64).max
-    mat = np.full((len(users), len(funnel)), sentinel)
-    urow = np.searchsorted(users, uid)
-    for j, step in enumerate(funnel):
-        m = et == step
-        mat[urow[m], j] = ts[m]
-    stage = np.zeros(len(users), np.int64)
-    alive = np.ones(len(users), bool)
-    prev = np.full(len(users), np.iinfo(np.int64).min)
-    for j in range(len(funnel)):
-        ok = alive & (mat[:, j] != sentinel) & (mat[:, j] > prev)
-        stage[ok] += 1
-        alive = ok
-        prev = np.where(ok, mat[:, j], prev)
-    return pa.table({"user_id": pa.array(users, pa.int64()),
-                     "stage": pa.array(stage, pa.int64())})
-
-
-def events_value_quantiles_approx(sf_dir: str, k: int = 1024):
-    """Approximate p50/p90/p99 of ``value`` per event_type via the mergeable
-    weighted quantile summary (`functions/quantile.py`) — the scale path for
-    UNBOUNDED value domains where the exact histogram partials of
-    ``events_value_quantiles`` would not stay bounded. Each batch emits ≤ k
-    (type, value, weight) rows; the driver merges types × k × blocks rows
-    and answers PERCENTILE_DISC off the summary. Deterministic (no
-    sampling); rank error ≤ ~2·n/k, pinned against the exact oracled
-    sibling in tests."""
-    from dedupe_ray.functions.quantile import compress, merge, quantile
-
-    ds = read_table(sf_dir, "events", ["event_type", "value"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        o = np.argsort(et, kind="stable")
-        et, v = et[o], v[o]
-        starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-        bounds = np.r_[starts, len(et)]
-        types, vals, ws = [], [], []
-        for gi in range(len(starts)):
-            g = v[bounds[gi] : bounds[gi + 1]]
-            cv, cw = compress(g, np.ones(len(g), np.int64), k)
-            types.extend([et[starts[gi]]] * len(cv))
-            vals.append(cv)
-            ws.append(cw)
-        return pa.table(
-            {"event_type": pa.array(types, pa.string()),
-             "value": pa.array(np.concatenate(vals) if vals else
-                               np.array([], np.float64), pa.float64()),
-             "w": pa.array(np.concatenate(ws) if ws else
-                           np.array([], np.int64), pa.int64())}
-        )
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(parts, pa.table({"event_type": pa.array([], pa.string()),
-                                    "value": pa.array([], pa.float64()),
-                                    "w": pa.array([], pa.int64())}))
-    et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-    v = tbl.column("value").to_numpy(zero_copy_only=False)
-    w = tbl.column("w").to_numpy(zero_copy_only=False)
-    out = {"event_type": [], "n": [], "p50": [], "p90": [], "p99": []}
-    for t in np.unique(et):
-        m = et == t
-        sv, sw = merge([(v[m], w[m])], k)
-        out["event_type"].append(t)
-        out["n"].append(int(sw.sum()))
-        for p, key in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")]:
-            out[key].append(quantile(sv, sw, p))
-    return pa.table(
-        {"event_type": pa.array(out["event_type"], pa.string()),
-         "n": pa.array(out["n"], pa.int64()),
-         "p50": pa.array(out["p50"], pa.float64()),
-         "p90": pa.array(out["p90"], pa.float64()),
-         "p99": pa.array(out["p99"], pa.float64())}
-    )
-
-
 # ---------------------------------------------------------------------------
-# r4 (cont.): lag windows, rollup, arg-max, bloom join, weighted sampling,
-# validation audit
+# r4 (cont.): weighted sampling, validation audit
 # ---------------------------------------------------------------------------
 
 
@@ -3891,253 +3274,6 @@ def _mix64(h: np.ndarray) -> np.ndarray:
         h *= np.uint64(0xFF51AFD7ED558CCD)
         h ^= h >> np.uint64(33)
     return h
-
-
-def events_time_deltas(sf_dir: str):
-    """Per-user inter-event gap statistics — the LAG window family: number
-    of gaps, total and max gap in exact integer microseconds (0 for
-    single-event users, the oracle's COALESCE semantics). One single-key
-    range partition on ``user_id`` (the ``user_sessions`` shape; only
-    ``(event_id, user_id, ts)`` enters the sort), then one lexsort + diff +
-    reduceat per block — no per-row Python, and int64 sums/maxes are
-    order-independent → bit-identical to the SQL LAG oracle."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def _gaps(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"user_id": pa.array([], pa.int64()),
-             "n_gaps": pa.array([], pa.int64()),
-             "sum_gap_us": pa.array([], pa.int64()),
-             "max_gap_us": pa.array([], pa.int64())}
-        )
-        if block.num_rows == 0:
-            return empty
-        eid = block.column("event_id").to_numpy(zero_copy_only=False)
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            block.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        o = np.lexsort((eid, ts, uid))
-        uid, ts = uid[o], ts[o]
-        first = np.r_[True, uid[1:] != uid[:-1]]
-        gstart = np.flatnonzero(first)
-        glen = np.diff(np.r_[gstart, len(uid)])
-        # per-row gap vs the previous event of the SAME user (0 at heads)
-        gap = np.r_[np.int64(0), np.diff(ts)]
-        gap[first] = 0
-        return pa.table(
-            {"user_id": pa.array(uid[gstart], pa.int64()),
-             "n_gaps": pa.array(glen - 1, pa.int64()),
-             "sum_gap_us": pa.array(np.add.reduceat(gap, gstart), pa.int64()),
-             "max_gap_us": pa.array(np.maximum.reduceat(gap, gstart), pa.int64())}
-        )
-
-    return sorted_group_apply(ds, "user_id", _gaps)
-
-
-def lineitem_rollup(sf_dir: str):
-    """Multi-level aggregate (GROUP BY ROLLUP): per-(returnflag, linestatus)
-    totals, per-flag subtotals, and the grand total, with ``'ALL'`` as the
-    rollup label. The fact table never shuffles: per-batch partials collapse
-    each batch to ≤ |flag × status| rows (the ``lineitem_agg`` shape), the
-    driver merges ≤ 6 × n_blocks partial rows, and all three levels derive
-    from the finest grain — the rollup costs the same ONE pass as the plain
-    aggregate. l_quantity is integral so float64 sums are exact and
-    order-independent."""
-    ds = read_table(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")]
-        )
-        ren = {"l_quantity_sum": "p_qty", "l_quantity_count": "p_n"}
-        return t.rename_columns([ren.get(c, c) for c in t.column_names])
-
-    cand = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"l_returnflag": pa.array([], pa.string()),
-                      "l_linestatus": pa.array([], pa.string()),
-                      "p_qty": pa.array([], pa.float64()),
-                      "p_n": pa.array([], pa.int64())})]
-    )
-
-    def _level(tbl: pa.Table, keys: list[str]) -> pa.Table:
-        if keys:
-            g = tbl.group_by(keys).aggregate([("p_qty", "sum"), ("p_n", "sum")])
-            ren = {"p_qty_sum": "sum_qty", "p_n_sum": "n"}
-            g = g.rename_columns([ren.get(c, c) for c in g.column_names])
-        else:
-            g = pa.table(
-                {"sum_qty": pa.array(
-                    [pc.sum(tbl.column("p_qty")).as_py() or 0.0], pa.float64()),
-                 "n": pa.array(
-                    [pc.sum(tbl.column("p_n")).as_py() or 0], pa.int64())}
-            )
-        n = g.num_rows
-        cols = {}
-        for name in ("l_returnflag", "l_linestatus"):
-            cols[name] = (
-                g.column(name) if name in g.column_names
-                else pa.array(["ALL"] * n, pa.string())
-            )
-        cols["sum_qty"] = g.column("sum_qty")
-        cols["n"] = pc.cast(g.column("n"), pa.int64())
-        return pa.table(cols)
-
-    return pa.concat_tables(
-        [_level(cand, ["l_returnflag", "l_linestatus"]),
-         _level(cand, ["l_returnflag"]),
-         _level(cand, [])]
-    )
-
-
-def latest_event_per_user(sf_dir: str):
-    """ARG-MAX aggregate: each user's latest event (row, not just the max
-    ts), ties broken by event_id — the "current state per entity" pattern.
-    Per-batch partials keep ONE row per user (lexsort + group-tail take), so
-    the events table never shuffles; only per-batch winners (≤ n_users rows
-    per block) enter the single-key range partition, where the identical
-    kernel picks the global winner."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def _keep_latest(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return block
-        eid = block.column("event_id").to_numpy(zero_copy_only=False)
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            block.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        o = np.lexsort((eid, ts, uid))
-        uid_s = uid[o]
-        gstart = np.flatnonzero(np.r_[True, uid_s[1:] != uid_s[:-1]])
-        tails = o[np.r_[gstart[1:], len(uid_s)] - 1]
-        return block.take(pa.array(tails, pa.int64()))
-
-    partials = ds.map_batches(_keep_latest, batch_format="pyarrow", batch_size=None)
-    merged = sorted_group_apply(partials, "user_id", _keep_latest)
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"user_id": batch.column("user_id"),
-             "last_event_id": batch.column("event_id"),
-             "last_type": batch.column("event_type"),
-             "last_ts": batch.column("ts")}
-        )
-
-    return merged.map_batches(_rename, batch_format="pyarrow", batch_size=None)
-
-
-def orders_lineitem_join_bloom(sf_dir: str, m_bits: int = 1 << 20, k_hashes: int = 4):
-    """Bloom-filter pre-filtered join — the BIG-BIG join shape for 100 TB:
-    when even the predicate-filtered build side is too large to broadcast as
-    raw keys, broadcast a FIXED-SIZE Bloom filter of its keys instead
-    (m/8 bytes regardless of build-side row count), pre-filter the probe
-    side in one streaming pass, and let only survivors enter the exact
-    join. A Bloom filter has no false negatives, and false positives are
-    removed by the exact join — so the result equals the plain join under
-    the predicate (the SQL oracle). Here: lineitem ⋈ URGENT orders; the
-    bloom pass cuts the probe side ~5× before any join work — at scale
-    that is the difference between shuffling the whole fact table and a
-    fifth of it. Build: per-batch bit-array partials, OR-merged on the
-    driver (n_blocks × m/8 bytes); probe: double-hashed k-bit membership
-    test in contiguous uint64 ops. With n ≈ build keys, FPR ≈
-    (1 − e^(−k·n/m))^k — defaults give <1e-4 at sf0.1; size m to the
-    build side's distinct-key count at scale."""
-    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    def _urgent(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.equal(batch.column("o_orderpriority"), "1-URGENT"))
-        return keep.select(["o_orderkey", "o_orderdate"])
-
-    # materialize the (predicate-filtered, bounded) build side ONCE — it is
-    # consumed twice below (bloom partials + exact-stage collect); same
-    # boundedness contract as the broadcast join's small side
-    urgent = orders.map_batches(
-        _urgent, batch_format="pyarrow", batch_size=None
-    ).materialize()
-    words = m_bits >> 6
-    seed2 = np.uint64(0x9E3779B97F4A7C15)
-
-    def _probe_idx(keys: np.ndarray, i: int) -> np.ndarray:
-        h1 = _mix64(keys)
-        with np.errstate(over="ignore"):
-            h2 = _mix64(keys ^ seed2) | np.uint64(1)
-            return (h1 + np.uint64(i) * h2) % np.uint64(m_bits)
-
-    def _bloom_partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.uint64)
-        bits = np.zeros(words, np.uint64)
-        for i in range(k_hashes):
-            idx = _probe_idx(keys, i)
-            np.bitwise_or.at(bits, idx >> np.uint64(6),
-                             np.uint64(1) << (idx & np.uint64(63)))
-        return pa.table({"bits": pa.array([bits.tobytes()], pa.large_binary())})
-
-    # driver receives n_blocks fixed-size bit arrays + the (small, bounded)
-    # urgent key/date table for the exact stage — the bc-join contract
-    parts = pa.concat_tables(
-        list(
-            urgent.map_batches(_bloom_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"bits": pa.array([], pa.large_binary())})]
-    )
-    bits = np.zeros(words, np.uint64)
-    for b in parts.column("bits").to_pylist():
-        bits |= np.frombuffer(b, np.uint64)
-    small = pa.concat_tables(
-        list(urgent.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"o_orderkey": pa.array([], pa.int64()),
-                      "o_orderdate": pa.array([], pa.timestamp("us"))})]
-    )
-    skeys = small.column("o_orderkey").to_numpy(zero_copy_only=False)
-    sdates = small.column("o_orderdate").to_numpy(zero_copy_only=False)
-    so = np.argsort(skeys, kind="stable")
-    ref = ray.put((bits, skeys[so], sdates[so]))
-
-    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity"])
-
-    def _probe(batch: pa.Table) -> pa.Table:
-        bbits, bkeys, bdates = ray.get(ref)
-        keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        uk = keys.astype(np.uint64)
-        mask = np.ones(len(keys), bool)
-        for i in range(k_hashes):
-            idx = _probe_idx(uk[mask], i)
-            hit = (bbits[idx >> np.uint64(6)]
-                   >> (idx & np.uint64(63))) & np.uint64(1)
-            m2 = mask.copy()
-            m2[np.flatnonzero(mask)[hit == 0]] = False
-            mask = m2
-            if not mask.any():
-                break
-        surv = batch.filter(pa.array(mask))
-        # exact stage over bloom survivors only (removes false positives)
-        sk = surv.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(bkeys, sk)
-        pos_c = np.minimum(pos, max(len(bkeys) - 1, 0))
-        ok = (len(bkeys) > 0) & (bkeys[pos_c] == sk) if len(bkeys) else np.zeros(len(sk), bool)
-        surv = surv.filter(pa.array(ok))
-        return pa.table(
-            {"l_orderkey": surv.column("l_orderkey"),
-             "l_linenumber": surv.column("l_linenumber"),
-             "l_quantity": surv.column("l_quantity"),
-             "o_orderdate": pa.array(
-                 bdates[pos_c[ok]] if len(bkeys) else
-                 np.array([], "datetime64[us]"), pa.timestamp("us"))}
-        )
-
-    return li.map_batches(_probe, batch_format="pyarrow", batch_size=None)
 
 
 def weighted_sample_docs(sf_dir: str, k: int = 64):
@@ -4170,15 +3306,10 @@ def weighted_sample_docs(sf_dir: str, k: int = 64):
              "priority": pa.array(prio, pa.uint64())}
         )
 
-    cand = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"doc_id": pa.array([], pa.int64()),
-                      "n_chars": pa.array([], pa.int64()),
-                      "priority": pa.array([], pa.uint64())})]
-    )
+    cand = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
+                    pa.table({"doc_id": pa.array([], pa.int64()),
+                              "n_chars": pa.array([], pa.int64()),
+                              "priority": pa.array([], pa.uint64())}))
     ids, chars, prio = _topk(
         cand.column("doc_id").to_numpy(zero_copy_only=False),
         cand.column("n_chars").to_numpy(zero_copy_only=False),
@@ -4276,8 +3407,8 @@ def validate_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# r4 (cont.): text normalization, histograms, snapshot diff, bigram counts,
-# grouped quality rollup
+# r4 (cont.): text normalization, snapshot diff, bigram counts, grouped
+# quality rollup
 # ---------------------------------------------------------------------------
 
 
@@ -4336,44 +3467,6 @@ def normalize_docs(sf_dir: str):
         )
 
     return ds.map_batches(_norm, batch_format="pyarrow", batch_size=None)
-
-
-def events_value_histogram(sf_dir: str, width_cents: int = 500):
-    """Fixed-width value histogram per event type: exact integer cents
-    (``floor(value·100 + 0.5)``), bin = floor-division by the bin width.
-    Per-batch partials collapse each batch to ≤ types × bins rows before the
-    (tiny) composite groupby — the lineitem_agg partial shape; the events
-    table never shuffles. Works for negative values too (numpy ``//`` and
-    SQL ``floor(x/w)`` both floor toward −∞)."""
-    from ray.data.aggregate import Sum
-
-    ds = read_table(sf_dir, "events", ["event_type", "value"])
-    w = int(width_cents)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        bins = cents // w
-        t = pa.table(
-            {"event_type": batch.column("event_type"),
-             "bin": pa.array(bins, pa.int64())}
-        ).group_by(["event_type", "bin"]).aggregate([([], "count_all")])
-        return t.rename_columns(
-            ["p_n" if c == "count_all" else c for c in t.column_names]
-        )
-
-    out = (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-        .groupby(["event_type", "bin"])
-        .aggregate(Sum("p_n", alias_name="n"))
-    )
-
-    def _lo(batch: pa.Table) -> pa.Table:
-        b = batch.column("bin").to_numpy(zero_copy_only=False)
-        return batch.append_column("bin_lo_cents", pa.array(b * w, pa.int64()))
-
-    return out.map_batches(_lo, batch_format="pyarrow", batch_size=None)
 
 
 def snapshot_diff_docs(sf_dir: str):
@@ -4491,11 +3584,8 @@ def top_bigrams(sf_dir: str, k: int = 20):
         return block.take(pa.array(np.sort(order)))
 
     pruned = totals.map_batches(_local_topk, batch_format="pyarrow", batch_size=None)
-    cand = pa.concat_tables(
-        list(pruned.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        or [pa.table({"bigram": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64())})]
-    )
+    cand = _collect(pruned, pa.table({"bigram": pa.array([], pa.string()),
+                                      "n": pa.array([], pa.int64())}))
     items = sorted(
         zip(cand.column("bigram").to_pylist(), cand.column("n").to_pylist()),
         key=lambda kv: (-kv[1], kv[0]),
@@ -4550,83 +3640,8 @@ def quality_by_source(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# r4 (cont.): percent-rank normalization, C4 segment rewrite, cross-source
-# token stats
+# r4 (cont.): C4 segment rewrite, cross-source token stats
 # ---------------------------------------------------------------------------
-
-
-def events_value_percent_rank(sf_dir: str):
-    """Per-row PERCENT_RANK within each event type — rank normalization for
-    feature scaling — computed WITHOUT sorting the data: the bounded-distinct
-    value-histogram partials (the ``events_value_quantiles`` shape) merge on
-    the driver into per-type (sorted cents, count-below, n) maps, broadcast
-    once; a second streaming pass assigns each row
-    ``count_below / (n - 1)`` by searchsorted. count_below and n−1 are
-    exact ints, so the single IEEE division is bit-identical to the SQL
-    window oracle (which ranks by the same integer cents)."""
-    ds = read_table(sf_dir, "events", ["event_id", "event_type", "value"])
-
-    def _cents_of(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        cents = np.floor(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        return et, cents
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        et, cents = _cents_of(batch)
-        o = np.lexsort((cents, et))
-        et, cents = et[o], cents[o]
-        new = np.r_[True, (et[1:] != et[:-1]) | (cents[1:] != cents[:-1])]
-        starts = np.flatnonzero(new)
-        n = np.diff(np.r_[starts, len(et)])
-        return pa.table(
-            {"event_type": pa.array(et[starts].tolist(), pa.string()),
-             "cents": pa.array(cents[starts], pa.int64()),
-             "c": pa.array(n, pa.int64())}
-        )
-
-    hist = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"event_type": pa.array([], pa.string()),
-                      "cents": pa.array([], pa.int64()),
-                      "c": pa.array([], pa.int64())})]
-    )
-    et = np.asarray(hist.column("event_type").to_pylist(), dtype=object)
-    cents = hist.column("cents").to_numpy(zero_copy_only=False)
-    c = hist.column("c").to_numpy(zero_copy_only=False)
-    maps: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-    for t in np.unique(et) if len(et) else []:
-        m = et == t
-        tc, tn = cents[m], c[m]
-        o = np.argsort(tc, kind="stable")
-        tc, tn = tc[o], tn[o]
-        starts = np.flatnonzero(np.r_[True, tc[1:] != tc[:-1]])
-        uc = tc[starts]
-        un = np.add.reduceat(tn, starts)
-        below = np.r_[np.int64(0), np.cumsum(un)[:-1]]
-        maps[t] = (uc, below, int(un.sum()))
-    mref = ray.put(maps)
-
-    def _rank(batch: pa.Table) -> pa.Table:
-        mm = ray.get(mref)
-        et, cents = _cents_of(batch)
-        pr = np.zeros(len(et), np.float64)
-        for t in np.unique(et) if len(et) else []:
-            uc, below, n = mm[t]
-            sel = et == t
-            pos = np.searchsorted(uc, cents[sel])
-            pr[sel] = below[pos] / (n - 1) if n > 1 else 0.0
-        return pa.table(
-            {"event_id": batch.column("event_id"),
-             "event_type": pa.array(et.tolist(), pa.string()),
-             "pr": pa.array(pr, pa.float64())}
-        )
-
-    return ds.map_batches(_rank, batch_format="pyarrow", batch_size=None)
 
 
 def segment_rewrite_docs(sf_dir: str, min_count: int = 3):
@@ -4658,17 +3673,14 @@ def segment_rewrite_docs(sf_dir: str, min_count: int = 3):
         .groupby("s")
         .aggregate(Sum("c", alias_name="c"))
     )
-    rep_parts = list(
+    rep = _collect(
         totals.map_batches(
             lambda b: b.filter(pc.greater_equal(b.column("c"), min_count)).select(["s"]),
             batch_format="pyarrow", batch_size=None,
-        ).iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-    )
-    rep = (
-        np.sort(np.asarray(pa.concat_tables(rep_parts).column("s").to_pylist()))
-        if rep_parts
-        else np.asarray([], dtype=object)
-    )
+        ),
+        pa.table({"s": pa.array([], pa.string())}),
+    ).column("s").to_pylist()
+    rep = np.sort(np.asarray(rep)) if rep else np.asarray([], dtype=object)
     rep_ref = ray.put(rep)
 
     def _rewrite(batch: pa.Table) -> pa.Table:
@@ -4758,337 +3770,6 @@ def cross_source_tokens(sf_dir: str, min_sources: int = 3):
         )
 
     return sorted_group_apply(pairs, "token", _per_token)
-
-
-# ---------------------------------------------------------------------------
-# r4 (cont.): star-schema aggregate pushdown, rolling windows, left-join counts
-# ---------------------------------------------------------------------------
-
-
-def revenue_by_mktsegment(sf_dir: str):
-    """Star-schema aggregation (TPC-H Q3 family) with the 100 TB shape: the
-    fact table NEVER shuffles — both dimension joins become broadcast maps
-    (orderkey→custkey from orders, custkey→segment from customer, each
-    collapsed to sorted key arrays and shipped once via ``ray.put``), and
-    lineitem streams ONE pass stamping the segment by two searchsorted
-    lookups and collapsing each batch to per-segment partials. Revenue is
-    exact fixed point — ``cents(price) × (100 − cents_pct(discount))`` —
-    so the grouped int64 sum is order-independent and bit-identical to SQL
-    (int64 headroom ~2×10⁵ larger than the sf0.1 total; at larger scale
-    the partial column widens to two int64 limbs, same shape)."""
-    from ray.data.aggregate import Sum
-
-    ot = _read_collect(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    ok = ot.column("o_orderkey").to_numpy(zero_copy_only=False)
-    oc = ot.column("o_custkey").to_numpy(zero_copy_only=False)
-    oo = np.argsort(ok, kind="stable")
-    ct = _read_collect(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    ck = ct.column("c_custkey").to_numpy(zero_copy_only=False)
-    cs = np.asarray(ct.column("c_mktsegment").to_pylist(), dtype=object)
-    co = np.argsort(ck, kind="stable")
-    # factorize the segment dimension: per-customer SMALL-INT codes ride the
-    # broadcast; the hot loop never touches strings (an object-dtype argsort
-    # over 600k segment strings was the stage cost before this)
-    seg_names, ccode = np.unique(cs[co], return_inverse=True)
-    ref = ray.put((ok[oo], oc[oo], ck[co], ccode.astype(np.int64),
-                   len(seg_names)))
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        bok, boc, bck, bcode, nseg = ray.get(ref)
-        k = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        price_c = np.floor(
-            batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5
-        ).astype(np.int64)
-        disc_c = np.floor(
-            batch.column("l_discount").to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5
-        ).astype(np.int64)
-        rev = price_c * (100 - disc_c)
-        pos = np.clip(np.searchsorted(bok, k), 0, max(len(bok) - 1, 0))
-        hit = bok[pos] == k if len(bok) else np.zeros(len(k), bool)
-        rev, k = rev[hit], k[hit]
-        custk = boc[pos[hit]]
-        cpos = np.clip(np.searchsorted(bck, custk), 0, max(len(bck) - 1, 0))
-        chit = bck[cpos] == custk if len(bck) else np.zeros(len(custk), bool)
-        rev = rev[chit]
-        code = bcode[cpos[chit]]
-        n = np.bincount(code, minlength=nseg).astype(np.int64)
-        # per-code exact partial sums: integer bincount via reduceat over
-        # the (cheap, int) code sort
-        o = np.argsort(code, kind="stable")
-        srt = code[o]
-        starts = np.searchsorted(srt, np.arange(nseg))
-        csum = np.r_[np.int64(0), np.cumsum(rev[o])]
-        bounds = np.r_[starts, len(srt)]
-        sums = csum[bounds[1:]] - csum[bounds[:-1]]
-        return pa.table(
-            {"seg_code": pa.array(np.arange(nseg), pa.int64()),
-             "p_n": pa.array(n, pa.int64()),
-             "p_rev": pa.array(sums, pa.int64())}
-        )
-
-    agg = (
-        li.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-        .groupby("seg_code")
-        .aggregate(Sum("p_n", alias_name="n_items"),
-                   Sum("p_rev", alias_name="revenue_fp"))
-    )
-
-    def _name(batch: pa.Table) -> pa.Table:
-        codes = batch.column("seg_code").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"c_mktsegment": pa.array(seg_names[codes].tolist(), pa.string()),
-             "n_items": pc.cast(batch.column("n_items"), pa.int64()),
-             "revenue_fp": pc.cast(batch.column("revenue_fp"), pa.int64())}
-        )
-
-    return agg.map_batches(_name, batch_format="pyarrow", batch_size=None)
-
-
-def events_moving_avg(sf_dir: str, w: int = 3):
-    """Rolling window (moving average over the last ``w`` events per user,
-    ordered by (ts, event_id)) — the ``events_cumulative`` shape: ONE
-    single-key range partition on user_id, then an in-block lexsort +
-    cumsum with group-clamped window starts (no per-row Python). Cents are
-    exact ints, so ``roll_sum_cents``/``roll_n`` are bit-exact and
-    ``roll_avg`` is one final IEEE division, identical to the SQL ROWS
-    BETWEEN w−1 PRECEDING window."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def _roll(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"event_id": pa.array([], pa.int64()),
-             "user_id": pa.array([], pa.int64()),
-             "roll_n": pa.array([], pa.int64()),
-             "roll_sum_cents": pa.array([], pa.int64()),
-             "roll_avg": pa.array([], pa.float64())}
-        )
-        if block.num_rows == 0:
-            return empty
-        eid = block.column("event_id").to_numpy(zero_copy_only=False)
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            block.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        cents = np.floor(
-            block.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        o = np.lexsort((eid, ts, uid))
-        eid, uid, cents = eid[o], uid[o], cents[o]
-        n = len(uid)
-        gstart = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        glen = np.diff(np.r_[gstart, n])
-        head = np.repeat(gstart, glen)
-        idx = np.arange(n)
-        lo = np.maximum(head, idx - (w - 1))
-        csum = np.r_[np.int64(0), np.cumsum(cents)]
-        roll = csum[idx + 1] - csum[lo]
-        rn = idx - lo + 1
-        return pa.table(
-            {"event_id": pa.array(eid, pa.int64()),
-             "user_id": pa.array(uid, pa.int64()),
-             "roll_n": pa.array(rn, pa.int64()),
-             "roll_sum_cents": pa.array(roll, pa.int64()),
-             "roll_avg": pa.array(roll / rn, pa.float64())}
-        )
-
-    return sorted_group_apply(ds, "user_id", _roll)
-
-
-def customer_urgent_order_counts(sf_dir: str):
-    """LEFT-join grouped counts — every customer with its number of URGENT
-    orders, zero included (the outer-join companion to the anti-join
-    ``customers_without_urgent_orders``). The right side predicate-filters
-    and collapses to per-key count partials (bounded by |customers|),
-    merged and broadcast once; the customer table streams one searchsorted
-    lookup pass with default 0 — no shuffle of either side."""
-    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-
-    def _cnt_partial(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(
-            pc.equal(batch.column("o_orderpriority"), "1-URGENT")
-        )
-        k = keep.column("o_custkey").to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table({"k": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        uniq, cnt = np.unique(k, return_counts=True)
-        return pa.table({"k": pa.array(uniq, pa.int64()),
-                         "n": pa.array(cnt.astype(np.int64), pa.int64())})
-
-    parts = pa.concat_tables(
-        list(
-            orders.map_batches(_cnt_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"k": pa.array([], pa.int64()),
-                      "n": pa.array([], pa.int64())})]
-    )
-    k = parts.column("k").to_numpy(zero_copy_only=False)
-    n = parts.column("n").to_numpy(zero_copy_only=False)
-    o = np.argsort(k, kind="stable")
-    k, n = k[o], n[o]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]) if len(k) else np.array([], np.int64)
-    keys = k[starts] if len(k) else k
-    counts = np.add.reduceat(n, starts) if len(k) else n
-    ref = ray.put((keys, counts))
-
-    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
-
-    def _stamp(batch: pa.Table) -> pa.Table:
-        bk, bn = ray.get(ref)
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        out = np.zeros(len(ck), np.int64)
-        if len(bk):
-            pos = np.searchsorted(bk, ck)
-            pos_c = np.minimum(pos, len(bk) - 1)
-            hit = bk[pos_c] == ck
-            out[hit] = bn[pos_c[hit]]
-        return batch.append_column("n_urgent", pa.array(out, pa.int64()))
-
-    return cust.map_batches(_stamp, batch_format="pyarrow", batch_size=None)
-
-
-# ---------------------------------------------------------------------------
-# r4 (cont.): anomaly scoring, sequence transitions
-# ---------------------------------------------------------------------------
-
-
-def events_anomaly_zscore(sf_dir: str):
-    """Per-event z-score against its type's mean/std — the anomaly-scoring
-    feature pass: ONE partial pass collects exact integer moments per type
-    (n, Σcents, Σcents²), the driver derives mean and the sample std from
-    exact ints (``std = sqrt((n·Σx² − (Σx)²) / (n·(n−1)))``) and broadcasts
-    the tiny per-type table; a second streaming pass assigns
-    ``z = (cents − mean) / std``. Every float is a chain of single
-    correctly-rounded IEEE ops over exact integers, replayed op-for-op by
-    the SQL oracle → bit-identical."""
-    ds = read_table(sf_dir, "events", ["event_id", "event_type", "value"])
-
-    def _cents_of(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        cents = np.floor(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        return et, cents
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        et, cents = _cents_of(batch)
-        o = np.argsort(et, kind="stable")
-        et, cents = et[o], cents[o]
-        starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-        n = np.diff(np.r_[starts, len(et)])
-        return pa.table(
-            {"event_type": pa.array(et[starts].tolist(), pa.string()),
-             "n": pa.array(n, pa.int64()),
-             "s1": pa.array(np.add.reduceat(cents, starts), pa.int64()),
-             "s2": pa.array(np.add.reduceat(cents * cents, starts), pa.int64())}
-        )
-
-    mom = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"event_type": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64()),
-                      "s1": pa.array([], pa.int64()),
-                      "s2": pa.array([], pa.int64())})]
-    )
-    et = np.asarray(mom.column("event_type").to_pylist(), dtype=object)
-    n = mom.column("n").to_numpy(zero_copy_only=False)
-    s1 = mom.column("s1").to_numpy(zero_copy_only=False)
-    s2 = mom.column("s2").to_numpy(zero_copy_only=False)
-    stats: dict[str, tuple[float, float]] = {}
-    for t in np.unique(et) if len(et) else []:
-        m = et == t
-        tn, t1, t2 = int(n[m].sum()), int(s1[m].sum()), int(s2[m].sum())
-        mean = t1 / tn
-        # cast numerator/denominator to double BEFORE dividing — the exact
-        # integer n·Σx²−(Σx)² can exceed 2^53, where Python's exact-rational
-        # int/int division differs from the oracle's CAST-then-divide by
-        # 1 ulp; float() is the same correctly-rounded cast as CAST AS DOUBLE
-        std = (
-            float(np.sqrt(float(tn * t2 - t1 * t1) / float(tn * (tn - 1))))
-            if tn > 1 else 0.0
-        )
-        stats[t] = (mean, std)
-    sref = ray.put(stats)
-
-    def _score(batch: pa.Table) -> pa.Table:
-        st = ray.get(sref)
-        et, cents = _cents_of(batch)
-        z = np.zeros(len(et), np.float64)
-        for t in np.unique(et) if len(et) else []:
-            mean, std = st[t]
-            sel = et == t
-            z[sel] = (cents[sel] - mean) / std if std > 0 else 0.0
-        return pa.table(
-            {"event_id": batch.column("event_id"),
-             "event_type": pa.array(et.tolist(), pa.string()),
-             "z": pa.array(z, pa.float64())}
-        )
-
-    return ds.map_batches(_score, batch_format="pyarrow", batch_size=None)
-
-
-def events_type_transitions(sf_dir: str):
-    """Event-type transition counts (the first-order Markov matrix of user
-    behavior): consecutive (previous type → type) pairs per user ordered by
-    (ts, event_id). One single-key range partition on user_id; the in-block
-    pass is a lexsort + shifted compare (transitions at group heads are
-    discarded, matching the oracle's ``WHERE prev IS NOT NULL``); per-block
-    pair partials collapse before the tiny composite groupby."""
-    from ray.data.aggregate import Sum
-
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def _pairs(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"prev_type": pa.array([], pa.string()),
-             "event_type": pa.array([], pa.string()),
-             "p_n": pa.array([], pa.int64())}
-        )
-        if block.num_rows == 0:
-            return empty
-        eid = block.column("event_id").to_numpy(zero_copy_only=False)
-        uid = block.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            block.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        et = np.asarray(block.column("event_type").to_pylist(), dtype=object)
-        o = np.lexsort((eid, ts, uid))
-        uid, et = uid[o], et[o]
-        same_user = uid[1:] == uid[:-1]
-        if not same_user.any():
-            return empty
-        # factorize types once per block; pairs become single ints
-        names, code = np.unique(et, return_inverse=True)
-        prev = code[:-1][same_user]
-        cur = code[1:][same_user]
-        k = len(names)
-        uniq, cnt = np.unique(prev * k + cur, return_counts=True)
-        return pa.table(
-            {"prev_type": pa.array(names[uniq // k].tolist(), pa.string()),
-             "event_type": pa.array(names[uniq % k].tolist(), pa.string()),
-             "p_n": pa.array(cnt.astype(np.int64), pa.int64())}
-        )
-
-    parts = sorted_group_apply(ds, "user_id", _pairs)
-    return (
-        parts.groupby(["prev_type", "event_type"])
-        .aggregate(Sum("p_n", alias_name="n"))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -5195,11 +3876,8 @@ def media_neardup(sf_dir: str, threshold: int = 7):
     # distributed broadcast stamp.
     n_sigs = sigs.count()
     if n_sigs <= 200_000:
-        tbl = pa.concat_tables(
-            list(sigs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-            or [pa.table({"doc_id": pa.array([], pa.int64()),
-                          "simhash": pa.array([], pa.uint64())})]
-        )
+        tbl = _collect(sigs, pa.table({"doc_id": pa.array([], pa.int64()),
+                                       "simhash": pa.array([], pa.uint64())}))
         pairs = _emit_pairs_block(
             simhash_band_table(tbl, cfg.simhash), cfg.max_bucket_size
         )
@@ -5235,99 +3913,8 @@ def media_neardup(sf_dir: str, threshold: int = 7):
     return sigs.map_batches(_stamp, batch_format="pyarrow", batch_size=None)
 
 
-def orders_lineitem_join_hp(sf_dir: str, n_buckets: int = 64):
-    """Hash-partitioned join — the fourth join strategy, for the regime the
-    other three can't serve: BOTH sides too large to broadcast (rules out
-    ``_bc``), keys too skewed/unsorted for a cheap merge, and no selective
-    predicate for a bloom pre-filter. Both sides are tagged and UNIONed
-    into one stream of slim rows (only join columns travel), bucketed by
-    ``mix64(key) % n_buckets``, and ONE range partition on the bucket
-    co-locates every key's rows from both sides; a vectorized per-block
-    pass (sort by key within bucket, searchsorted probe build-side rows)
-    emits the joined rows. Exactly one exchange of slim rows — the
-    classic Grace hash join expressed as tagged-union + sort. Skewed hot
-    keys salt the same way the LSH buckets do (split a hot bucket by a
-    secondary hash and replicate the smaller side's rows into the splits).
-    Same oracle as the native / sort-merge / broadcast / bloom variants."""
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity"])
-    nb = np.uint64(n_buckets)
-
-    def _tag_orders(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        d = batch.column("o_orderdate").to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        n = len(k)
-        return pa.table(
-            {"bucket": pa.array(_mix64(k.astype(np.uint64)) % nb, pa.int64()),
-             "key": pa.array(k, pa.int64()),
-             "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-             "l_linenumber": pa.array(np.zeros(n, np.int32), pa.int32()),
-             "l_quantity": pa.array(np.zeros(n, np.float64), pa.float64()),
-             "date_us": pa.array(d, pa.int64())}
-        )
-
-    def _tag_li(batch: pa.Table) -> pa.Table:
-        k = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        n = len(k)
-        return pa.table(
-            {"bucket": pa.array(_mix64(k.astype(np.uint64)) % nb, pa.int64()),
-             "key": pa.array(k, pa.int64()),
-             "side": pa.array(np.ones(n, np.int8), pa.int8()),
-             "l_linenumber": batch.column("l_linenumber"),
-             "l_quantity": batch.column("l_quantity"),
-             "date_us": pa.array(np.zeros(n, np.int64), pa.int64())}
-        )
-
-    tagged = orders.map_batches(
-        _tag_orders, batch_format="pyarrow", batch_size=None
-    ).union(li.map_batches(_tag_li, batch_format="pyarrow", batch_size=None))
-    # bundle the slim tagged rows before the sort: the range exchange makes
-    # (input_blocks × partitions) objects, and the union arrives as ~50
-    # read-sized blocks → 2500 tiny objects; coalescing to ~12 wide blocks
-    # cuts the sort wall ~2× (the band_bundle_size lesson)
-    tagged = tagged.map_batches(
-        lambda b: b, batch_format="pyarrow", batch_size=65536
-    )
-
-    def _bucket_join(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"l_orderkey": pa.array([], pa.int64()),
-             "l_linenumber": pa.array([], pa.int32()),
-             "l_quantity": pa.array([], pa.float64()),
-             "o_orderdate": pa.array([], pa.timestamp("us"))}
-        )
-        if block.num_rows == 0:
-            return empty
-        key = block.column("key").to_numpy(zero_copy_only=False)
-        side = block.column("side").to_numpy(zero_copy_only=False)
-        build = side == 0
-        bk = key[build]
-        bd = block.column("date_us").to_numpy(zero_copy_only=False)[build]
-        bo = np.argsort(bk, kind="stable")
-        bk, bd = bk[bo], bd[bo]
-        probe = ~build
-        pk = key[probe]
-        if len(bk) == 0 or len(pk) == 0:
-            return empty
-        pos = np.clip(np.searchsorted(bk, pk), 0, len(bk) - 1)
-        hit = bk[pos] == pk
-        pt = block.filter(pa.array(probe)).filter(pa.array(hit))
-        return pa.table(
-            {"l_orderkey": pt.column("key"),
-             "l_linenumber": pt.column("l_linenumber"),
-             "l_quantity": pt.column("l_quantity"),
-             "o_orderdate": pa.array(
-                 bd[pos[hit]].astype("datetime64[us]"), pa.timestamp("us"))}
-        )
-
-    return sorted_group_apply(tagged, "bucket", _bucket_join)
-
-
 # ---------------------------------------------------------------------------
-# r4 (cont.): Count-Min frequency estimation (completes the sketch family)
+# r4 (cont.): Count-Min frequency estimation
 # ---------------------------------------------------------------------------
 
 
@@ -5347,13 +3934,8 @@ def _probe_tokens(sf_dir: str, k: int = 50) -> np.ndarray:
         srt = sorted(toks)[:k]
         return pa.table({"token": pa.array(srt, pa.string())})
 
-    parts = pa.concat_tables(
-        list(
-            ds.map_batches(_uniq, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"token": pa.array([], pa.string())})]
-    )
+    parts = _collect(ds.map_batches(_uniq, batch_format="pyarrow", batch_size=None),
+                     pa.table({"token": pa.array([], pa.string())}))
     return np.unique(np.asarray(parts.column("token").to_pylist(), dtype=object))[:k]
 
 
@@ -5386,14 +3968,9 @@ def token_freq_exact(sf_dir: str):
         return pa.table({"idx": pa.array(np.arange(len(pr)), pa.int64()),
                          "p_n": pa.array(cnt, pa.int64())})
 
-    parts = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"idx": pa.array([], pa.int64()),
-                      "p_n": pa.array([], pa.int64())})]
-    )
+    parts = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
+                     pa.table({"idx": pa.array([], pa.int64()),
+                               "p_n": pa.array([], pa.int64())}))
     idx = parts.column("idx").to_numpy(zero_copy_only=False)
     pn = parts.column("p_n").to_numpy(zero_copy_only=False)
     total = np.zeros(len(probes), np.int64)
@@ -5407,8 +3984,8 @@ def token_freq_cms(sf_dir: str, d: int = 4, w: int = 8192):
     point-query sketch that answers ANY token's frequency in O(d) from
     d×w counters, where MG top-k answers only the heavy hitters. Per-batch
     partials are full d×w count matrices (256 KiB) that SUM-merge — on the
-    driver here, through any tree reduce or groupby at scale (the HLL
-    mergeability argument, additive instead of max). Estimates are
+    driver here, through any tree reduce or groupby at scale (the merge
+    is a sum). Estimates are
     deterministic for fixed seeds: ``est ≥ true`` always, overestimate
     bounded by collision mass ~N/w per row (test-pinned against the exact
     oracled sibling)."""
@@ -5449,13 +4026,8 @@ def token_freq_cms(sf_dir: str, d: int = 4, w: int = 8192):
                 np.add.at(mat[r], rows[r], cnt)
         return pa.table({"cms": pa.array([mat.tobytes()], pa.large_binary())})
 
-    parts = pa.concat_tables(
-        list(
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"cms": pa.array([], pa.large_binary())})]
-    )
+    parts = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
+                     pa.table({"cms": pa.array([], pa.large_binary())}))
     mat = np.zeros((d, w), np.int64)
     for b in parts.column("cms").to_pylist():
         mat += np.frombuffer(b, np.int64).reshape(d, w)
@@ -5464,102 +4036,6 @@ def token_freq_cms(sf_dir: str, d: int = 4, w: int = 8192):
         np.zeros(0, np.int64)
     return pa.table({"token": pa.array(probes.tolist(), pa.string()),
                      "n_est": pa.array(est, pa.int64())})
-
-
-def events_retention_cohorts(sf_dir: str):
-    """Retention-cohort matrix — users cohorted by the Monday-truncated
-    week of their FIRST event; for each (cohort_week, activity_week), the
-    count of distinct cohort users active that week. Two passes: per-batch
-    arg-min partials give first-event times (bounded by |users|, merged
-    and broadcast as a sorted cohort map), then per-batch DISTINCT
-    (user, week) pair partials collapse before the driver dedupe — events
-    never shuffle; at corpus scale the pair dedupe becomes the grouped-
-    distinct partial shape instead of a driver merge. Week truncation is
-    exact integer day arithmetic (epoch day 0 = Thursday →
-    ``d − ((d + 3) mod 7)``), identical to the oracle's date_trunc."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts"])
-
-    def _week_days(ts_us: np.ndarray) -> np.ndarray:
-        d = ts_us // 86_400_000_000
-        return d - ((d + 3) % 7)
-
-    def _first_partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            batch.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        o = np.lexsort((ts, uid))
-        uid, ts = uid[o], ts[o]
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        return pa.table({"user_id": pa.array(uid[starts], pa.int64()),
-                         "first_us": pa.array(ts[starts], pa.int64())})
-
-    fp = pa.concat_tables(
-        list(
-            ds.map_batches(_first_partial, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"user_id": pa.array([], pa.int64()),
-                      "first_us": pa.array([], pa.int64())})]
-    )
-    uid = fp.column("user_id").to_numpy(zero_copy_only=False)
-    fts = fp.column("first_us").to_numpy(zero_copy_only=False)
-    o = np.lexsort((fts, uid))
-    uid, fts = uid[o], fts[o]
-    starts = (np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-              if len(uid) else np.array([], np.int64))
-    cuid = uid[starts] if len(uid) else uid
-    cohort = _week_days(fts[starts]) if len(uid) else fts
-    cref = ray.put((cuid, cohort))
-
-    def _pairs(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        ts = (
-            batch.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        wk = _week_days(ts)
-        o = np.lexsort((wk, u))
-        u, wk = u[o], wk[o]
-        keep = np.r_[True, (u[1:] != u[:-1]) | (wk[1:] != wk[:-1])]
-        return pa.table({"user_id": pa.array(u[keep], pa.int64()),
-                         "week_day": pa.array(wk[keep], pa.int64())})
-
-    pp = pa.concat_tables(
-        list(
-            ds.map_batches(_pairs, batch_format="pyarrow", batch_size=None)
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        )
-        or [pa.table({"user_id": pa.array([], pa.int64()),
-                      "week_day": pa.array([], pa.int64())})]
-    )
-    u = pp.column("user_id").to_numpy(zero_copy_only=False)
-    wk = pp.column("week_day").to_numpy(zero_copy_only=False)
-    o = np.lexsort((wk, u))
-    u, wk = u[o], wk[o]
-    keep = (np.r_[True, (u[1:] != u[:-1]) | (wk[1:] != wk[:-1])]
-            if len(u) else np.zeros(0, bool))
-    u, wk = u[keep], wk[keep]
-    ck, cw = ray.get(cref)
-    pos = np.clip(np.searchsorted(ck, u), 0, max(len(ck) - 1, 0))
-    coh = cw[pos] if len(ck) else np.zeros(0, np.int64)
-    key = coh * 1_000_000 + wk  # both are day numbers ≪ 1e6 apart
-    ko = np.lexsort((key,))
-    key = key[ko]
-    starts = (np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-              if len(key) else np.array([], np.int64))
-    n = np.diff(np.r_[starts, len(key)]) if len(key) else np.array([], np.int64)
-    sel = key[starts] if len(key) else key
-    return pa.table(
-        {"cohort_week": pa.array(
-            ((sel // 1_000_000) * 86_400_000_000).astype("datetime64[us]"),
-            pa.timestamp("us")),
-         "week": pa.array(
-            ((sel % 1_000_000) * 86_400_000_000).astype("datetime64[us]"),
-            pa.timestamp("us")),
-         "n_users": pa.array(n, pa.int64())}
-    )
 
 
 def doc_tokens_long(sf_dir: str):

@@ -490,38 +490,6 @@ class TestOphMinHash:
         assert collisions["oph"] <= max(10, 10 * (collisions["kperm"] + 1)), collisions
 
 
-class TestHll:
-    def test_accuracy_and_merge(self):
-        import hashlib
-
-        from dedupe_ray.functions.hll import HllSketch
-
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 2**62, size=20000, dtype=np.uint64)
-        uniq = len(np.unique(values))
-        # strong 64-bit hashing of the values
-        with np.errstate(over="ignore"):
-            h = values * np.uint64(0x9E3779B97F4A7C15)
-            h ^= h >> np.uint64(29); h *= np.uint64(0xBF58476D1CE4E5B9); h ^= h >> np.uint64(32)
-        whole = HllSketch(p=12)
-        whole.add_hashes(h)
-        est = whole.estimate()
-        assert abs(est - uniq) / uniq < 0.05, (est, uniq)
-        # merge of disjoint partials == whole
-        a, b = HllSketch(p=12), HllSketch(p=12)
-        a.add_hashes(h[:10000]); b.add_hashes(h[10000:])
-        a.merge(b)
-        assert a.estimate() == whole.estimate()
-
-    def test_small_range_linear_counting(self):
-        from dedupe_ray.functions.hll import HllSketch
-
-        sk = HllSketch(p=12)
-        h = np.arange(1, 101, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        sk.add_hashes(h)
-        assert abs(sk.estimate() - 100) < 10
-
-
 class TestUrlNorm:
     def _one(self, u):
         import pyarrow as pa
@@ -616,62 +584,6 @@ class TestUrlNorm:
         got = canonicalize_urls(pa.array(urls, pa.string())).to_pylist()
         want = [scalar(u) for u in urls]
         assert got == want
-
-
-class TestQuantileSummary:
-    def test_compress_preserves_weight_and_membership(self):
-        from dedupe_ray.functions.quantile import compress
-
-        rng = np.random.RandomState(7)
-        v = rng.randn(10000)
-        cv, cw = compress(v, np.ones(len(v), np.int64), 64)
-        assert len(cv) <= 64
-        assert cw.sum() == len(v)
-        assert np.isin(cv, v).all()  # points are actual data values
-        assert (np.diff(cv) >= 0).all()
-
-    def test_rank_error_bound_after_merge(self):
-        from dedupe_ray.functions.quantile import compress, merge, quantile
-
-        rng = np.random.RandomState(11)
-        v = np.r_[rng.randn(30000), rng.exponential(5, 20000)]
-        k = 512
-        parts = [
-            compress(c, np.ones(len(c), np.int64), k)
-            for c in np.array_split(v, 37)
-        ]
-        sv, sw = merge(parts, k)
-        assert sw.sum() == len(v)
-        vs = np.sort(v)
-        for p in (0.01, 0.25, 0.5, 0.9, 0.99):
-            q = quantile(sv, sw, p)
-            rank = np.searchsorted(vs, q, side="left") / len(v)
-            assert abs(rank - p) <= 3.0 / k, (p, rank)
-
-    def test_merge_exact_when_small(self):
-        from dedupe_ray.functions.quantile import compress, merge, quantile
-
-        v = np.arange(100, dtype=np.float64)
-        parts = [compress(c, np.ones(len(c), np.int64), 1024)
-                 for c in np.array_split(v, 7)]
-        sv, sw = merge(parts, 1024)
-        # no compression occurred: summary is the exact sorted multiset
-        assert (sv == v).all() and (sw == 1).all()
-        assert quantile(sv, sw, 0.5) == 49.0
-
-    def test_weight_above_2_53_keeps_maximum(self):
-        # ADVICE r4: float64 grid rounding could drop the last grid point
-        # below the total once total weight exceeds 2^53, losing the max
-        # value and some weight. The pinned grid[-1] = total keeps both.
-        from dedupe_ray.functions.quantile import compress, quantile
-
-        v = np.arange(100, dtype=np.float64)
-        w = np.full(100, (1 << 53) + 12345, dtype=np.int64)
-        total = int(w.sum())
-        cv, cw = compress(v, w, 16)
-        assert int(cw.sum()) == total  # exact weight preservation
-        assert cv[-1] == 99.0  # maximum value survives compression
-        assert quantile(cv, cw, 1.0) == 99.0
 
 
 class TestUrlnormLargeOffsets:

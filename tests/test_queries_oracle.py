@@ -95,19 +95,24 @@ def _compare(ray_df: pd.DataFrame, sql_df: pd.DataFrame, name: str):
             )
 
 
+def _compare_each(names, run, sql, label=str):
+    """Run and compare every named query, then fail once listing each one
+    that raised or differed, so one failing query hides none after it."""
+    failures = []
+    for name in names:
+        try:
+            _compare(_to_pandas(run(name)), sql(name), label(name))
+        except Exception as e:  # noqa: BLE001
+            failures.append(f"{name}: {e!r}")
+    assert not failures, "\n".join(failures)
+
+
 def test_sql_oracled_queries(entrymod, con):
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     assert set(oracles) <= set(qs)
-    failures = []
-    for name, sql in oracles.items():
-        ray_df = _to_pandas(qs[name](SF_DIR))
-        sql_df = con.execute(sql).fetchdf()
-        try:
-            _compare(ray_df, sql_df, name)
-        except AssertionError as e:
-            failures.append(str(e))
-    assert not failures, "\n".join(failures)
+    _compare_each(oracles, lambda n: qs[n](SF_DIR),
+                  lambda n: con.execute(oracles[n]).fetchdf())
 
 
 def test_local_sql_oracled_queries(entrymod, con):
@@ -118,15 +123,8 @@ def test_local_sql_oracled_queries(entrymod, con):
     locals_ = entrymod.local_oracle_sql()
     assert set(locals_) <= set(qs)
     assert not set(locals_) & set(entrymod.oracle_sql())
-    failures = []
-    for name, sql in locals_.items():
-        ray_df = _to_pandas(qs[name](SF_DIR))
-        sql_df = con.execute(sql).fetchdf()
-        try:
-            _compare(ray_df, sql_df, name)
-        except AssertionError as e:
-            failures.append(str(e))
-    assert not failures, "\n".join(failures)
+    _compare_each(locals_, lambda n: qs[n](SF_DIR),
+                  lambda n: con.execute(locals_[n]).fetchdf())
 
 
 def test_oracled_queries_precede_unoracled(entrymod):
@@ -142,6 +140,17 @@ def test_oracled_queries_precede_unoracled(entrymod):
     )
     assert first_unoracled == len(oracled)
     assert len(oracled) <= 50, "oracled queries overflow the driver window"
+
+
+def test_bench_rows_name_live_queries(entrymod):
+    """A bench row naming a deleted query would only show as a KeyError
+    when ``bench.py`` runs: every benched and summarized name must be a
+    ``queries()`` entry."""
+    import bench
+
+    qs = set(entrymod.queries())
+    assert set(bench.BENCH_QUERIES) <= qs, sorted(set(bench.BENCH_QUERIES) - qs)
+    assert set(bench.SUMMARY_QUERIES) <= qs, sorted(set(bench.SUMMARY_QUERIES) - qs)
 
 
 def test_rows_only_queries_run(entrymod):
@@ -185,10 +194,9 @@ def test_asof_range_join_no_click_user(entrymod, tmp_path):
     )
     oracles = entrymod.oracle_sql()
     qs = entrymod.queries()
-    for name in ("events_asof_join", "events_range_join"):
-        ray_df = _to_pandas(qs[name](str(tmp_path)))
-        sql_df = c.execute(oracles[name]).fetchdf()
-        _compare(ray_df, sql_df, name)
+    _compare_each(("events_asof_join", "events_range_join"),
+                  lambda n: qs[n](str(tmp_path)),
+                  lambda n: c.execute(oracles[n]).fetchdf())
 
 
 def test_asof_range_join_wide_span_no_overflow(entrymod, tmp_path):
@@ -229,10 +237,9 @@ def test_asof_range_join_wide_span_no_overflow(entrymod, tmp_path):
     )
     oracles = entrymod.oracle_sql()
     qs = entrymod.queries()
-    for name in ("events_asof_join", "events_range_join"):
-        ray_df = _to_pandas(qs[name](str(tmp_path)))
-        sql_df = c.execute(oracles[name]).fetchdf()
-        _compare(ray_df, sql_df, name)
+    _compare_each(("events_asof_join", "events_range_join"),
+                  lambda n: qs[n](str(tmp_path)),
+                  lambda n: c.execute(oracles[n]).fetchdf())
 
 
 def test_redact_docs_planted_emails(entrymod, tmp_path):
@@ -585,60 +592,6 @@ def test_top_tokens_mg_unsound_regime_falls_back_exact(entrymod, con):
     )
 
 
-def test_grouped_hll_tracks_exact(entrymod, con):
-    """Per-group HLL estimates stay within the p=12 error envelope of the
-    exact grouped distinct (which is itself SQL-oracled)."""
-    from dedupe_ray.pipelines import queries as Q
-
-    exact = Q.distinct_users_by_type(SF_DIR, mode="exact").to_pandas()
-    approx = Q.distinct_users_by_type(SF_DIR, mode="hll").to_pandas()
-    merged = exact.merge(approx, on="event_type")
-    assert len(merged) == len(exact) > 0
-    rel = (
-        (merged.approx_distinct_users - merged.n_distinct_users).abs()
-        / merged.n_distinct_users
-    )
-    assert (rel < 0.05).all(), merged
-
-
-def test_approx_quantiles_track_exact(entrymod, con):
-    """The mergeable-summary quantiles track the exact (oracled) sibling:
-    bit-equal when k exceeds the distinct count (no compression), and
-    rank-close when compression is forced (k=32)."""
-    from dedupe_ray.pipelines import queries as Q
-
-    exact = Q.events_value_quantiles(SF_DIR).to_pandas().set_index("event_type")
-    full = Q.events_value_quantiles_approx(SF_DIR).to_pandas().set_index("event_type")
-    pd.testing.assert_frame_equal(full.sort_index(), exact.sort_index())
-
-    coarse = Q.events_value_quantiles_approx(SF_DIR, k=32).to_pandas().set_index("event_type")
-    events = con.execute("SELECT event_type, value FROM events").df()
-    for t, row in coarse.iterrows():
-        vs = events[events.event_type == t].value.sort_values().to_numpy()
-        for p, col in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")]:
-            rank = vs.searchsorted(row[col], side="left") / len(vs)
-            assert abs(rank - p) <= 3.0 / 32, (t, p, rank)
-
-
-def test_events_pivot_distributed_path(entrymod, con):
-    """driver_merge_max_rows=0 forces the sorted_group_apply pivot path;
-    it must equal the (oracled) driver-merge path exactly."""
-    import pyarrow as pa
-
-    import ray.data
-    from dedupe_ray.pipelines import queries as Q
-
-    a = Q.events_pivot(SF_DIR)
-    b = Q.events_pivot(SF_DIR, driver_merge_max_rows=0)
-    if isinstance(b, ray.data.Dataset):
-        b = pa.concat_tables(
-            list(b.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        )
-    a = a.sort_by([("user_id", "ascending")])
-    b = b.select(a.column_names).sort_by([("user_id", "ascending")])
-    assert a.equals(b)
-
-
 def test_validate_docs_planted_violations(entrymod, tmp_path):
     """The shared testdata is clean (every rule would read 0), so this corpus
     plants one violation of every kind — null text, empty text, an n_chars
@@ -669,23 +622,6 @@ def test_validate_docs_planted_violations(entrymod, tmp_path):
     _compare(ray_df, sql_df, "validate_docs_planted")
 
 
-def test_bloom_join_no_false_negatives_and_filters(entrymod, ray_session):
-    """Bloom-join invariants at sf0.001: (a) exactness — the result equals
-    the plain predicate join (its SQL oracle, run via DuckDB elsewhere;
-    here vs the broadcast-join family member under the same predicate);
-    (b) the bloom pass really filters — with a tiny m_bits the filter
-    saturates and survivors grow, never shrink (no false negatives)."""
-    from dedupe_ray.pipelines import queries as Q
-
-    sf = SF_DIR
-    exact = _to_pandas(Q.orders_lineitem_join_bloom(sf))
-    # saturated filter (m_bits tiny → every probe passes the bloom stage);
-    # the exact stage must still produce the identical join
-    saturated = _to_pandas(Q.orders_lineitem_join_bloom(sf, m_bits=1 << 6))
-    _compare(exact, saturated, "bloom_saturated_equals_default")
-    assert len(exact) > 0
-
-
 def test_weighted_sample_docs_matches_bruteforce(entrymod, ray_session):
     """The distributed partial-top-k must equal the single-pass brute force
     over the whole table: priority = mix64(doc_id) // max(n_chars, 1),
@@ -704,23 +640,6 @@ def test_weighted_sample_docs_matches_bruteforce(entrymod, ray_session):
     assert set(got.column("doc_id").to_pylist()) == expect
     # weight-proportionality sanity: the sampled docs skew long
     assert got.column("n_chars").to_pandas().mean() >= chars.mean()
-
-
-def test_lineitem_rollup_levels_consistent(entrymod, ray_session):
-    """Rollup internal consistency: each coarser level's totals equal the
-    sum of the finer level's rows it covers."""
-    from dedupe_ray.pipelines.queries import lineitem_rollup
-
-    df = _to_pandas(lineitem_rollup(SF_DIR))
-    fine = df[(df.l_returnflag != "ALL") & (df.l_linestatus != "ALL")]
-    mid = df[(df.l_returnflag != "ALL") & (df.l_linestatus == "ALL")]
-    top = df[(df.l_returnflag == "ALL") & (df.l_linestatus == "ALL")]
-    assert len(top) == 1
-    assert top.n.iloc[0] == fine.n.sum() == mid.n.sum()
-    assert abs(top.sum_qty.iloc[0] - fine.sum_qty.sum()) < 1e-9
-    for flag, grp in fine.groupby("l_returnflag"):
-        row = mid[mid.l_returnflag == flag]
-        assert int(row.n.iloc[0]) == int(grp.n.sum())
 
 
 def test_normalize_docs_planted_unicode(entrymod, tmp_path):
@@ -755,40 +674,6 @@ def test_normalize_docs_planted_unicode(entrymod, tmp_path):
     assert by_id[0] == "café vs café"
     assert by_id[1] == "tabs and newlines"
     assert bool(ray_df.set_index("doc_id")["changed"][3]) is False
-
-
-def test_events_value_histogram_negative_bins(entrymod, tmp_path):
-    """Floor-division parity on NEGATIVE values: numpy ``//`` floors toward
-    −∞ and the oracle's floor(cents/width) must land in the same bin (a
-    truncating division would disagree on every negative non-multiple)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    vals = [-12.34, -5.0, -0.01, 0.0, 0.01, 4.99, 5.0, 12.34, -4.995]
-    n = len(vals)
-    tbl = pa.table(
-        {"event_id": pa.array(list(range(n)), pa.int64()),
-         "ts": pa.array([np.datetime64("2024-01-01T00:00:00", "us")] * n),
-         "user_id": pa.array([1] * n, pa.int64()),
-         "event_type": pa.array(["x"] * n, pa.string()),
-         "value": pa.array(vals, pa.float64()),
-         "props": pa.array(["{}"] * n, pa.string())}
-    )
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
-    )
-    ray_df = _to_pandas(entrymod.queries()["events_value_histogram"](str(tmp_path)))
-    sql_df = c.execute(entrymod.local_oracle_sql()["events_value_histogram"]).fetchdf()
-    _compare(ray_df, sql_df, "events_value_histogram_negative")
-    bins = dict(zip(ray_df["bin"], ray_df["n"]))
-    assert bins[-3] == 1          # -12.34 → -1234 cents → bin -3
-    assert bins[-1] == 3          # -5.0, -0.01, -4.995
-    assert bins[0] == 3           # 0.0, 0.01, 4.99
-    assert bins[1] == 1           # 5.0 is exactly 500 cents → bin 1
-    assert bins[2] == 1           # 12.34
 
 
 def test_snapshot_diff_all_statuses(entrymod, ray_session):
@@ -867,74 +752,21 @@ def test_multiblock_doc_oracles_sf01(entrymod, ray_session):
         )
     qs = entrymod.queries()
     lo = entrymod.local_oracle_sql()
-    for name in ("weighted_sample_docs", "snapshot_diff_docs",
-                 "cross_source_tokens", "validate_docs"):
-        ray_df = _to_pandas(qs[name](sf))
-        sql_df = c.execute(lo[name]).fetchdf()
-        _compare(ray_df, sql_df, f"{name}@sf0.1")
-
-
-def test_new_event_ops_random_vs_duckdb(entrymod, tmp_path):
-    """Randomized oracle gate for the window/sequence/anomaly family: a
-    seeded random events table planted with the edge cases the shared
-    testdata lacks — single-event users, EXACTLY tied timestamps, negative
-    and tied-cents values — must stay bit-identical to DuckDB for every
-    new event operator."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    rng = np.random.default_rng(1234)
-    n = 3000
-    user = rng.integers(0, 80, n)
-    user[:5] = np.arange(1000, 1005)       # single-event users
-    ts = np.datetime64("2024-03-01", "us") + rng.integers(
-        0, 45 * 86_400_000_000, n
-    ).astype("timedelta64[us]")
-    ts[10:20] = ts[10]                      # tied timestamps (tie-break by id)
-    value = np.round(rng.normal(0, 50, n), 2)  # negatives + tied cents
-    types = np.array(["click", "view", "purchase", "signup", "error"], object)
-    tbl = pa.table(
-        {"event_id": pa.array(np.arange(n), pa.int64()),
-         "ts": pa.array(ts),
-         "user_id": pa.array(user, pa.int64()),
-         "event_type": pa.array(types[rng.integers(0, 5, n)].tolist(), pa.string()),
-         "value": pa.array(value, pa.float64()),
-         "props": pa.array(['{"k": 1}'] * n, pa.string())}
-    )
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
-    )
-    qs = entrymod.queries()
-    lo = entrymod.local_oracle_sql()
-    failures = []
-    for name in ("events_time_deltas", "latest_event_per_user",
-                 "events_moving_avg", "events_value_percent_rank",
-                 "events_anomaly_zscore", "events_type_transitions",
-                 "events_value_histogram", "events_retention_cohorts"):
-        ray_df = _to_pandas(qs[name](str(tmp_path)))
-        sql_df = c.execute(lo[name]).fetchdf()
-        try:
-            _compare(ray_df, sql_df, name)
-        except AssertionError as e:
-            failures.append(str(e))
-    assert not failures, "\n".join(failures)
+    _compare_each(("weighted_sample_docs", "snapshot_diff_docs",
+                   "cross_source_tokens", "validate_docs"),
+                  lambda n: qs[n](sf), lambda n: c.execute(lo[n]).fetchdf(),
+                  label=lambda n: f"{n}@sf0.1")
 
 
 def test_media_neardup_recovers_planted_groups(entrymod, ray_session):
     """The image near-dup pipeline (decode → dhash → banding → hamming
     verify → union-find) must merge every planted 3-variant image group
     and never merge across groups."""
-    import pandas as pd
-
     df = _to_pandas(entrymod.queries()["media_neardup"](SF_DIR))
     assert len(df) == 500
-    g = df.media_id // 3
-    assert (df.groupby(g).cluster_id.nunique() == 1).all()
-    assert (df.groupby("cluster_id").apply(
-        lambda x: (x.media_id // 3).nunique()) == 1).all()
+    df = df.assign(g=df.media_id // 3)
+    assert df.groupby("g").cluster_id.nunique().eq(1).all()
+    assert df.groupby("cluster_id").g.nunique().eq(1).all()
 
 
 def test_cms_tracks_exact_freqs(entrymod, ray_session):
@@ -971,10 +803,9 @@ def test_all_queries_total_on_empty_corpus(entrymod, ray_session, tmp_path):
         src = pq.read_table(f"{SF_DIR}/{t}.parquet")
         pq.write_table(src.slice(0, 0), str(tmp_path / f"{t}.parquet"))
     # scalar/summary aggregates legitimately return rows on empty input
-    # (SQL count() over empty = one 0-row; ROLLUP keeps the grand total;
-    # validate_docs reports every rule at 0)
-    scalar_rows = {"distinct_users_exact": 1, "distinct_users_hll": 1,
-                   "lineitem_rollup": 1, "validate_docs": 5,
+    # (SQL count() over empty = one 0-row; validate_docs reports every
+    # rule at 0)
+    scalar_rows = {"distinct_users_exact": 1, "validate_docs": 5,
                    # fixture-driven: ignores the corpus, always one row
                    "flagship_f1": 1}
     failures = []
