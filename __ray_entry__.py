@@ -109,13 +109,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "decontaminate_docs": Q.decontaminate_docs,
         "tfidf_top_terms": Q.tfidf_top_terms,
         "canonical_url_dedup": Q.canonical_url_dedup,
+        "customers_without_urgent_orders": Q.customers_without_urgent_orders,
         "top_tokens_mg": Q.top_tokens_mg,
+        "events_pivot": Q.events_pivot,
         # image near-dup end-to-end (decode is not SQL-expressible;
         # planted-group recovery pinned by test)
         "media_neardup": Q.media_neardup,
+        "lineitem_rollup": Q.lineitem_rollup,
+        "latest_event_per_user": Q.latest_event_per_user,
         "weighted_sample_docs": Q.weighted_sample_docs,
         "validate_docs": Q.validate_docs,
         "normalize_docs": Q.normalize_docs,
+        "events_value_histogram": Q.events_value_histogram,
         "snapshot_diff_docs": Q.snapshot_diff_docs,
         "top_bigrams": Q.top_bigrams,
         "quality_by_source": Q.quality_by_source,
@@ -734,12 +739,40 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT canonical_url, CAST(count(*) AS BIGINT) AS n_dups, "
             "min(doc_id) AS keep_id FROM canon GROUP BY canonical_url"
         ),
+        "customers_without_urgent_orders": (
+            "SELECT c_custkey, c_name, c_mktsegment FROM customer c "
+            "WHERE NOT EXISTS (SELECT 1 FROM orders o "
+            "WHERE o.o_custkey = c.c_custkey AND o.o_orderpriority = '1-URGENT')"
+        ),
         "top_tokens_mg": (
             # identical semantics to the driver-oracled top_tokens: the
             # Misra-Gries two-pass variant must produce the SAME exact top-20
             "SELECT t AS token, count(*) AS n FROM documents, "
             "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS u(t) "
             "GROUP BY t ORDER BY n DESC, token LIMIT 20"
+        ),
+        "events_pivot": (
+            # the pivot columns are the sorted event_type values of the
+            # corpus (the Ray side discovers them; this corpus has five)
+            "SELECT user_id, "
+            "CAST(count(*) FILTER (WHERE event_type = 'click') AS BIGINT) AS n_click, "
+            "CAST(count(*) FILTER (WHERE event_type = 'error') AS BIGINT) AS n_error, "
+            "CAST(count(*) FILTER (WHERE event_type = 'purchase') AS BIGINT) AS n_purchase, "
+            "CAST(count(*) FILTER (WHERE event_type = 'signup') AS BIGINT) AS n_signup, "
+            "CAST(count(*) FILTER (WHERE event_type = 'view') AS BIGINT) AS n_view "
+            "FROM events GROUP BY user_id"
+        ),
+        "lineitem_rollup": (
+            "SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag, "
+            "COALESCE(l_linestatus, 'ALL') AS l_linestatus, "
+            "sum(l_quantity) AS sum_qty, CAST(count(*) AS BIGINT) AS n "
+            "FROM lineitem GROUP BY ROLLUP(l_returnflag, l_linestatus)"
+        ),
+        "latest_event_per_user": (
+            "SELECT user_id, event_id AS last_event_id, "
+            "event_type AS last_type, ts AS last_ts FROM events "
+            "QUALIFY row_number() OVER (PARTITION BY user_id "
+            "ORDER BY ts DESC, event_id DESC) = 1"
         ),
         "weighted_sample_docs": (
             # mix64 = the fingerprint finalizer replayed in HUGEINT wrap
@@ -778,6 +811,13 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT doc_id, norm_text, "
             "CAST(length(norm_text) AS BIGINT) AS n_chars_norm, "
             "norm_text <> text AS changed FROM n"
+        ),
+        "events_value_histogram": (
+            "WITH c AS (SELECT event_type, "
+            "CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents FROM events) "
+            "SELECT event_type, CAST(floor(cents / 500.0) AS BIGINT) AS bin, "
+            "CAST(floor(cents / 500.0) AS BIGINT) * 500 AS bin_lo_cents, "
+            "CAST(count(*) AS BIGINT) AS n FROM c GROUP BY 1, 2, 3"
         ),
         "snapshot_diff_docs": (
             # both snapshots derive deterministically from documents; the

@@ -48,10 +48,15 @@ BENCH_QUERIES = [
     "tfidf_top_terms",             # r4: tf-idf keywords (df shuffle + broadcast)
     "decontaminate_docs",          # r4: eval-ngram membership pass
     "canonical_url_dedup",         # r4: vectorized URL canonicalization dedup
+    "customers_without_urgent_orders",  # r4: broadcast anti-join
     "top_tokens_mg",               # r4: Misra-Gries no-shuffle exact top-k
+    "events_pivot",                # r4: two-phase pivot (discover types, partial counts)
+    "lineitem_rollup",             # r4: GROUP BY ROLLUP from one partial pass
+    "latest_event_per_user",       # r4: arg-max partials, events never shuffle
     "weighted_sample_docs",        # r4: deterministic weighted priority sample
     "validate_docs",               # r4: data-validation audit partials
     "normalize_docs",              # r4: unicode NFC + case/space canonicalization
+    "events_value_histogram",      # r4: fixed-bin histogram from composite partials
     "snapshot_diff_docs",          # r4: crawl-delta diff via tagged-union partition
     "top_bigrams",                 # r4: distributed bigram counts + local top-k
     "quality_by_source",           # r4: fixed-point quality rollup per source

@@ -3154,6 +3154,42 @@ def canonical_url_dedup(sf_dir: str):
     )
 
 
+def customers_without_urgent_orders(sf_dir: str):
+    """Anti-join: customers with NO ``1-URGENT`` order (`NOT EXISTS`) — the
+    relational shape behind blocklist filtering ("drop documents whose key
+    appears in the removal list"). The right side is predicate-filtered in
+    the same batch pass that collapses it to DISTINCT keys via per-batch
+    unique partials (8-byte keys, so even a 10^9-order corpus partials down
+    to the distinct-customer set), the driver merges the bounded partials
+    and broadcasts ONCE via ``ray.put``; the left side streams through one
+    vectorized ``np.isin`` mask per batch. When the distinct-key set exceeds
+    worker memory at 100 TB, the fallback is the verify_edges_join shape:
+    hash-partition BOTH sides on the key and anti-join per partition
+    (SCALE.md broadcast-vs-shuffle rule)."""
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+
+    def _keys(batch: pa.Table) -> pa.Table:
+        sel = pc.equal(batch.column("o_orderpriority"), "1-URGENT")
+        ck = batch.column("o_custkey").filter(sel)
+        u = np.unique(ck.to_numpy(zero_copy_only=False))
+        return pa.table({"k": pa.array(u, pa.int64())})
+
+    parts = orders.map_batches(_keys, batch_format="pyarrow", batch_size=None)
+    tbl = _collect(parts, pa.table({"k": pa.array([], pa.int64())}))
+    keys = np.unique(tbl.column("k").to_numpy(zero_copy_only=False))
+    ref = ray.put(keys)
+
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
+
+    def _anti(batch: pa.Table) -> pa.Table:
+        ks = ray.get(ref)
+        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
+        mask = ~np.isin(ck, ks)
+        return batch.filter(pa.array(mask))
+
+    return cust.map_batches(_anti, batch_format="pyarrow", batch_size=None)
+
+
 def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
     """Exact top-``k`` tokens with NO shuffle: a mergeable Misra-Gries
     summary (Agarwal et al. 2013, "Mergeable Summaries") finds a provably
@@ -3265,6 +3301,82 @@ def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
 # ---------------------------------------------------------------------------
 
 
+def events_pivot(sf_dir: str, driver_merge_max_rows: int = 5_000_000):
+    """Pivot (wide conditional aggregation): one row per user with per-type
+    event counts as COLUMNS. ONE pass over the events emits LONG-form
+    (user, type, count) partials — each batch collapses with a single
+    lexsort + run-length, so the type set needs no separate discovery
+    execution. The bounded partials (≤ users × types × blocks rows) merge
+    on the driver and pivot wide there (matrix scatter-add); when the
+    partial table exceeds ``driver_merge_max_rows`` (unbounded user
+    domains at crawl scale) the same long partials instead flow through
+    ONE user_id range partition (`sorted_group_apply`) and pivot per
+    block against the type set already present in the partials — the
+    shuffle moves |users| × |types| integer rows, never events. Column
+    order is the sorted type list, so the schema is deterministic."""
+    ds = read_table(sf_dir, "events", ["user_id", "event_type"])
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
+        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
+        o = np.lexsort((et, uid))
+        uid, et = uid[o], et[o]
+        starts = np.flatnonzero(np.r_[True, (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])])
+        cnt = np.diff(np.r_[starts, len(uid)]).astype(np.int64)
+        return pa.table({"user_id": pa.array(uid[starts], pa.int64()),
+                         "event_type": pa.array(et[starts].tolist(), pa.string()),
+                         "n": pa.array(cnt, pa.int64())})
+
+    parts = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
+
+    def _pivot_block(block: pa.Table, types: np.ndarray) -> pa.Table:
+        uid = block.column("user_id").to_numpy(zero_copy_only=False)
+        et = np.asarray(block.column("event_type").to_pylist(), dtype=object)
+        n = block.column("n").to_numpy(zero_copy_only=False)
+        users, uinv = np.unique(uid, return_inverse=True)
+        tinv = np.searchsorted(types, et)
+        mat = np.zeros((len(users), len(types)), np.int64)
+        np.add.at(mat, (uinv, tinv), n)
+        cols = {"user_id": pa.array(users, pa.int64())}
+        for j, t in enumerate(types):
+            cols[f"n_{t}"] = pa.array(mat[:, j], pa.int64())
+        return pa.table(cols)
+
+    if driver_merge_max_rows > 0:
+        tbl = _collect(
+            parts, pa.table({"user_id": pa.array([], pa.int64()),
+                             "event_type": pa.array([], pa.string()),
+                             "n": pa.array([], pa.int64())}))
+        if tbl.num_rows == 0:
+            return pa.table({"user_id": pa.array([], pa.int64())})
+        if tbl.num_rows <= driver_merge_max_rows:
+            types = np.unique(
+                np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
+            )
+            return _pivot_block(tbl, types)
+        # over the gate: fall through to the distributed path (the long
+        # partials recompute once — the price of discovering the overflow)
+    # distributed path (driver_merge_max_rows=0 skips the driver attempt
+    # entirely): type set from a tiny distinct-type projection of the
+    # partials (types × blocks rows), then ONE user_id range partition of
+    # the long partials — |users| × |types| integer rows shuffle, never
+    # events, and the driver never holds the user axis
+    from dedupe_ray.stages.groupapply import sorted_group_apply
+
+    def _types_of(batch: pa.Table) -> pa.Table:
+        u = np.unique(np.asarray(batch.column("event_type").to_pylist(), dtype=object))
+        return pa.table({"t": pa.array(u.tolist(), pa.string())})
+
+    ttbl = _collect(
+        parts.map_batches(_types_of, batch_format="pyarrow", batch_size=None),
+        pa.table({"t": pa.array([], pa.string())}),
+    )
+    types = np.unique(np.asarray(ttbl.column("t").to_pylist(), dtype=object))
+    return sorted_group_apply(
+        parts, "user_id", lambda b: _pivot_block(b, types)
+    )
+
+
 def _mix64(h: np.ndarray) -> np.ndarray:
     """Splitmix-style 64-bit finalizer (the fingerprint kernel's mix,
     functions/fingerprint.py) over a uint64 array — contiguous 1-D ops."""
@@ -3274,6 +3386,102 @@ def _mix64(h: np.ndarray) -> np.ndarray:
         h *= np.uint64(0xFF51AFD7ED558CCD)
         h ^= h >> np.uint64(33)
     return h
+
+
+def lineitem_rollup(sf_dir: str):
+    """Multi-level aggregate (GROUP BY ROLLUP): per-(returnflag, linestatus)
+    totals, per-flag subtotals, and the grand total, with ``'ALL'`` as the
+    rollup label. The fact table never shuffles: per-batch partials collapse
+    each batch to ≤ |flag × status| rows (the ``lineitem_agg`` shape), the
+    driver merges ≤ 6 × n_blocks partial rows, and all three levels derive
+    from the finest grain — the rollup costs the same ONE pass as the plain
+    aggregate. l_quantity is integral so float64 sums are exact and
+    order-independent."""
+    ds = read_table(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"])
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        t = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+            [("l_quantity", "sum"), ("l_quantity", "count")]
+        )
+        ren = {"l_quantity_sum": "p_qty", "l_quantity_count": "p_n"}
+        return t.rename_columns([ren.get(c, c) for c in t.column_names])
+
+    cand = _collect(
+        ds.map_batches(_partial, batch_format="pyarrow", batch_size=65536),
+        pa.table({"l_returnflag": pa.array([], pa.string()),
+                  "l_linestatus": pa.array([], pa.string()),
+                  "p_qty": pa.array([], pa.float64()),
+                  "p_n": pa.array([], pa.int64())}),
+    )
+
+    def _level(tbl: pa.Table, keys: list[str]) -> pa.Table:
+        if keys:
+            g = tbl.group_by(keys).aggregate([("p_qty", "sum"), ("p_n", "sum")])
+            ren = {"p_qty_sum": "sum_qty", "p_n_sum": "n"}
+            g = g.rename_columns([ren.get(c, c) for c in g.column_names])
+        else:
+            g = pa.table(
+                {"sum_qty": pa.array(
+                    [pc.sum(tbl.column("p_qty")).as_py() or 0.0], pa.float64()),
+                 "n": pa.array(
+                    [pc.sum(tbl.column("p_n")).as_py() or 0], pa.int64())}
+            )
+        n = g.num_rows
+        cols = {}
+        for name in ("l_returnflag", "l_linestatus"):
+            cols[name] = (
+                g.column(name) if name in g.column_names
+                else pa.array(["ALL"] * n, pa.string())
+            )
+        cols["sum_qty"] = g.column("sum_qty")
+        cols["n"] = pc.cast(g.column("n"), pa.int64())
+        return pa.table(cols)
+
+    return pa.concat_tables(
+        [_level(cand, ["l_returnflag", "l_linestatus"]),
+         _level(cand, ["l_returnflag"]),
+         _level(cand, [])]
+    )
+
+
+def latest_event_per_user(sf_dir: str):
+    """ARG-MAX aggregate: each user's latest event (row, not just the max
+    ts), ties broken by event_id — the "current state per entity" pattern.
+    Per-batch partials keep ONE row per user (lexsort + group-tail take), so
+    the events table never shuffles; only per-batch winners (≤ n_users rows
+    per block) enter the single-key range partition, where the identical
+    kernel picks the global winner."""
+    from dedupe_ray.stages.groupapply import sorted_group_apply
+
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+
+    def _keep_latest(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return block
+        eid = block.column("event_id").to_numpy(zero_copy_only=False)
+        uid = block.column("user_id").to_numpy(zero_copy_only=False)
+        ts = (
+            block.column("ts").to_numpy(zero_copy_only=False)
+            .astype("datetime64[us]").astype(np.int64)
+        )
+        o = np.lexsort((eid, ts, uid))
+        uid_s = uid[o]
+        gstart = np.flatnonzero(np.r_[True, uid_s[1:] != uid_s[:-1]])
+        tails = o[np.r_[gstart[1:], len(uid_s)] - 1]
+        return block.take(pa.array(tails, pa.int64()))
+
+    partials = ds.map_batches(_keep_latest, batch_format="pyarrow", batch_size=None)
+    merged = sorted_group_apply(partials, "user_id", _keep_latest)
+
+    def _rename(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {"user_id": batch.column("user_id"),
+             "last_event_id": batch.column("event_id"),
+             "last_type": batch.column("event_type"),
+             "last_ts": batch.column("ts")}
+        )
+
+    return merged.map_batches(_rename, batch_format="pyarrow", batch_size=None)
 
 
 def weighted_sample_docs(sf_dir: str, k: int = 64):
@@ -3467,6 +3675,44 @@ def normalize_docs(sf_dir: str):
         )
 
     return ds.map_batches(_norm, batch_format="pyarrow", batch_size=None)
+
+
+def events_value_histogram(sf_dir: str, width_cents: int = 500):
+    """Fixed-width value histogram per event type: exact integer cents
+    (``floor(value·100 + 0.5)``), bin = floor-division by the bin width.
+    Per-batch partials collapse each batch to ≤ types × bins rows before the
+    (tiny) composite groupby — the lineitem_agg partial shape; the events
+    table never shuffles. Works for negative values too (numpy ``//`` and
+    SQL ``floor(x/w)`` both floor toward −∞)."""
+    from ray.data.aggregate import Sum
+
+    ds = read_table(sf_dir, "events", ["event_type", "value"])
+    w = int(width_cents)
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        cents = np.floor(
+            batch.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
+        ).astype(np.int64)
+        bins = cents // w
+        t = pa.table(
+            {"event_type": batch.column("event_type"),
+             "bin": pa.array(bins, pa.int64())}
+        ).group_by(["event_type", "bin"]).aggregate([([], "count_all")])
+        return t.rename_columns(
+            ["p_n" if c == "count_all" else c for c in t.column_names]
+        )
+
+    out = (
+        ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
+        .groupby(["event_type", "bin"])
+        .aggregate(Sum("p_n", alias_name="n"))
+    )
+
+    def _lo(batch: pa.Table) -> pa.Table:
+        b = batch.column("bin").to_numpy(zero_copy_only=False)
+        return batch.append_column("bin_lo_cents", pa.array(b * w, pa.int64()))
+
+    return out.map_batches(_lo, batch_format="pyarrow", batch_size=None)
 
 
 def snapshot_diff_docs(sf_dir: str):

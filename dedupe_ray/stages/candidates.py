@@ -12,8 +12,8 @@ Verification is written once: :func:`signature_slice` gathers the
 edge-involved signature rows, :func:`score_pairs` scores pairs against
 them, and :func:`verify_candidates` is the gate between the driver path and
 the distributed :func:`verify_edges`. Every verifier of the near-dup family
-(flagship, incremental match, embedding edges, media clusters) scores
-through these.
+(flagship, incremental match, embedding edges, media clusters, the join
+verify) scores through these.
 
 Skew (SURVEY.md §7.4): a bucket larger than ``max_bucket_size`` — web
 boilerplate collapsing thousands of pages into one band — is SALTED: its
@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "candidate_edges", "dedupe_edges", "signature_slice", "score_pairs", "verify_edges",
-    "verify_candidates",
+    "verify_candidates", "verify_edges_join",
 ]
 
 _EMPTY_PAIRS = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
@@ -216,29 +216,33 @@ def signature_slice(
 
 def _signature_array(col: pa.ChunkedArray, config: NearDupConfig) -> np.ndarray:
     """A signature column as numpy, zero-copy: simhash → uint64 vector;
-    minhash (a K-slot fixed-size list) → (n, K) uint32 matrix."""
+    minhash (a K-slot fixed-size list, or the join's packed
+    ``fixed_size_binary(4·K)``) → (n, K) uint32 matrix."""
     arr = _one_array(col)
     if isinstance(config.signature(), SimHashConfig):
         return np.asarray(arr.to_numpy(zero_copy_only=False), dtype=np.uint64)
     k = config.minhash.num_perms
+    if pa.types.is_fixed_size_binary(arr.type):
+        data = np.frombuffer(arr.buffers()[1], dtype=np.uint32)
+        return data[arr.offset * k : (arr.offset + len(arr)) * k].reshape(len(arr), k)
     return arr.flatten().to_numpy(zero_copy_only=False).reshape(len(arr), k)
 
 
 def _pair_scores(
-    sig: np.ndarray, ia: np.ndarray, ib: np.ndarray, config: NearDupConfig
+    a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray, config: NearDupConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """THE exact metric, over the pairs (``sig[ia[i]]``, ``sig[ib[i]]``) →
+    """THE exact metric, over the pairs (``a[ia[i]]``, ``b[ib[i]]``) →
     (keep-mask, score): 1 − hamming/64 with hamming ≤ threshold, or matched
     minhash slots / K ≥ threshold, counted in chunks of ``_VERIFY_CHUNK``
     pairs (an integer count divided by K is bit-equal to ``.mean(axis=1)``)."""
     cfg = config.signature()
     if isinstance(cfg, SimHashConfig):
-        d = hamming64(sig[ia], sig[ib])
+        d = hamming64(a[ia], b[ib])
         return d <= cfg.threshold, 1.0 - np.asarray(d, dtype=np.float64) / 64.0
     score = np.empty(len(ia), dtype=np.float64)
     for i in range(0, len(ia), _VERIFY_CHUNK):
         j = slice(i, i + _VERIFY_CHUNK)
-        score[j] = np.count_nonzero(sig[ia[j]] == sig[ib[j]], axis=1)
+        score[j] = np.count_nonzero(a[ia[j]] == b[ib[j]], axis=1)
     score /= config.minhash.num_perms
     return score >= cfg.threshold, score
 
@@ -273,7 +277,7 @@ def score_pairs(
     ia = np.searchsorted(ids, src)
     ib = np.searchsorted(ids, dst)
     sig = _signature_array(sl.column(_sig_column(config)), config)
-    keep, score = _pair_scores(sig, ia, ib, config)
+    keep, score = _pair_scores(sig, ia, sig, ib, config)
     kidx = np.flatnonzero(keep)
     if config.jaro_winkler_min is not None and "text" in sl.column_names and len(kidx):
         texts = sl.column("text")
@@ -306,7 +310,7 @@ def verify_edges(
     (zero-copy ``ray.get`` per task, SURVEY.md §2.5 D2), and every edge
     batch is scored against it with :func:`score_pairs`. Correct whenever
     the slice fits the object store, which holds through ~10^8 candidate
-    edges."""
+    edges; :func:`verify_edges_join` is the shape for beyond."""
     ids = _collect_edge_ids(edges)
     if len(ids) == 0:
         return edges.map_batches(lambda b: _EMPTY_EDGES, batch_format="pyarrow")
@@ -352,3 +356,60 @@ def verify_candidates(
     sl = signature_slice(signatures, np.unique(np.r_[src, dst]), config, extra)
     return _kept(src, dst, *score_pairs(src, dst, sl, config)), sl
 
+
+def verify_edges_join(
+    edges: "ray.data.Dataset",
+    signatures: "ray.data.Dataset",
+    config: NearDupConfig,
+    num_partitions: int = 8,
+) -> "ray.data.Dataset":
+    """Fully-distributed verification via two hash-partitioned joins — the
+    shape for corpora where even the edge-involved signature slice
+    outgrows the driver/object-store broadcast. No caller selects it yet;
+    tests pin it equal to :func:`verify_edges` (without a Jaro-Winkler
+    confirm: the text does not ride the joins).
+
+    edges ⋈ signatures ON src → ⋈ signatures ON dst, then
+    :func:`_pair_scores` over the two joined sides. Each join shuffles the
+    (small) edge list plus one pass of the signature table partitioned on
+    doc_id; the corpus text never moves."""
+    sig_col = _sig_column(config)
+    if sig_col == "simhash":
+        slim = signatures.select_columns(["doc_id", sig_col])
+    else:
+        # Acero's hash join rejects fixed_size_list payloads — repack the
+        # minhash signature as fixed_size_binary for the ride: ONE buffer
+        # view for the whole batch (VERDICT r3 #4), no per-row tobytes()
+        k = config.minhash.num_perms
+
+        def _pack(batch: pa.Table) -> pa.Table:
+            flat = _signature_array(batch.column("minhash"), config).astype(np.uint32)
+            fsb = pa.FixedSizeBinaryArray.from_buffers(
+                pa.binary(4 * k), batch.num_rows,
+                [None, pa.py_buffer(np.ascontiguousarray(flat).tobytes())],
+            )
+            return pa.table({"doc_id": batch.column("doc_id"), "minhash": fsb})
+
+        slim = signatures.map_batches(_pack, batch_format="pyarrow", batch_size=None)
+
+    # the join drops the right key column, and the left side never carries
+    # the signature column, so it comes out unsuffixed (Ray 2.49.2): the
+    # names are known without a schema() probe (a hidden limit(1) run)
+    def _join(left: "ray.data.Dataset", on: str, side: str) -> "ray.data.Dataset":
+        return left.join(slim, join_type="inner", num_partitions=num_partitions,
+                         on=(on,), right_on=("doc_id",)).rename_columns({sig_col: side})
+
+    joined = _join(_join(edges.select_columns(["src", "dst"]), "src", "sig_src"),
+                   "dst", "sig_dst")
+
+    def _score(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _EMPTY_EDGES
+        rows = np.arange(batch.num_rows)
+        a = _signature_array(batch.column("sig_src"), config)
+        b = _signature_array(batch.column("sig_dst"), config)
+        return _kept(batch.column("src").to_numpy(zero_copy_only=False),
+                     batch.column("dst").to_numpy(zero_copy_only=False),
+                     *_pair_scores(a, rows, b, rows, config))
+
+    return joined.map_batches(_score, batch_format="pyarrow", batch_size=1 << 14)

@@ -592,6 +592,25 @@ def test_top_tokens_mg_unsound_regime_falls_back_exact(entrymod, con):
     )
 
 
+def test_events_pivot_distributed_path(entrymod, con):
+    """driver_merge_max_rows=0 forces the sorted_group_apply pivot path;
+    it must equal the (oracled) driver-merge path exactly."""
+    import pyarrow as pa
+
+    import ray.data
+    from dedupe_ray.pipelines import queries as Q
+
+    a = Q.events_pivot(SF_DIR)
+    b = Q.events_pivot(SF_DIR, driver_merge_max_rows=0)
+    if isinstance(b, ray.data.Dataset):
+        b = pa.concat_tables(
+            list(b.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
+        )
+    a = a.sort_by([("user_id", "ascending")])
+    b = b.select(a.column_names).sort_by([("user_id", "ascending")])
+    assert a.equals(b)
+
+
 def test_validate_docs_planted_violations(entrymod, tmp_path):
     """The shared testdata is clean (every rule would read 0), so this corpus
     plants one violation of every kind — null text, empty text, an n_chars
@@ -642,6 +661,23 @@ def test_weighted_sample_docs_matches_bruteforce(entrymod, ray_session):
     assert got.column("n_chars").to_pandas().mean() >= chars.mean()
 
 
+def test_lineitem_rollup_levels_consistent(entrymod, ray_session):
+    """Rollup internal consistency: each coarser level's totals equal the
+    sum of the finer level's rows it covers."""
+    from dedupe_ray.pipelines.queries import lineitem_rollup
+
+    df = _to_pandas(lineitem_rollup(SF_DIR))
+    fine = df[(df.l_returnflag != "ALL") & (df.l_linestatus != "ALL")]
+    mid = df[(df.l_returnflag != "ALL") & (df.l_linestatus == "ALL")]
+    top = df[(df.l_returnflag == "ALL") & (df.l_linestatus == "ALL")]
+    assert len(top) == 1
+    assert top.n.iloc[0] == fine.n.sum() == mid.n.sum()
+    assert abs(top.sum_qty.iloc[0] - fine.sum_qty.sum()) < 1e-9
+    for flag, grp in fine.groupby("l_returnflag"):
+        row = mid[mid.l_returnflag == flag]
+        assert int(row.n.iloc[0]) == int(grp.n.sum())
+
+
 def test_normalize_docs_planted_unicode(entrymod, tmp_path):
     """The shared testdata is ASCII, so the normalize oracle there proves
     little; this corpus plants composed/decomposed accents (NFC must merge
@@ -674,6 +710,40 @@ def test_normalize_docs_planted_unicode(entrymod, tmp_path):
     assert by_id[0] == "café vs café"
     assert by_id[1] == "tabs and newlines"
     assert bool(ray_df.set_index("doc_id")["changed"][3]) is False
+
+
+def test_events_value_histogram_negative_bins(entrymod, tmp_path):
+    """Floor-division parity on NEGATIVE values: numpy ``//`` floors toward
+    −∞ and the oracle's floor(cents/width) must land in the same bin (a
+    truncating division would disagree on every negative non-multiple)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    vals = [-12.34, -5.0, -0.01, 0.0, 0.01, 4.99, 5.0, 12.34, -4.995]
+    n = len(vals)
+    tbl = pa.table(
+        {"event_id": pa.array(list(range(n)), pa.int64()),
+         "ts": pa.array([np.datetime64("2024-01-01T00:00:00", "us")] * n),
+         "user_id": pa.array([1] * n, pa.int64()),
+         "event_type": pa.array(["x"] * n, pa.string()),
+         "value": pa.array(vals, pa.float64()),
+         "props": pa.array(["{}"] * n, pa.string())}
+    )
+    pq.write_table(tbl, str(tmp_path / "events.parquet"))
+    c = duckdb.connect()
+    c.execute(
+        f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
+    )
+    ray_df = _to_pandas(entrymod.queries()["events_value_histogram"](str(tmp_path)))
+    sql_df = c.execute(entrymod.local_oracle_sql()["events_value_histogram"]).fetchdf()
+    _compare(ray_df, sql_df, "events_value_histogram_negative")
+    bins = dict(zip(ray_df["bin"], ray_df["n"]))
+    assert bins[-3] == 1          # -12.34 → -1234 cents → bin -3
+    assert bins[-1] == 3          # -5.0, -0.01, -4.995
+    assert bins[0] == 3           # 0.0, 0.01, 4.99
+    assert bins[1] == 1           # 5.0 is exactly 500 cents → bin 1
+    assert bins[2] == 1           # 12.34
 
 
 def test_snapshot_diff_all_statuses(entrymod, ray_session):
@@ -758,6 +828,45 @@ def test_multiblock_doc_oracles_sf01(entrymod, ray_session):
                   label=lambda n: f"{n}@sf0.1")
 
 
+def test_new_event_ops_random_vs_duckdb(entrymod, tmp_path):
+    """Randomized oracle gate for the per-user arg-max and the value
+    histogram: a seeded random events table planted with the edge cases
+    the shared testdata lacks — single-event users, EXACTLY tied
+    timestamps, negative and tied-cents values — must stay bit-identical
+    to DuckDB for both event operators."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(1234)
+    n = 3000
+    user = rng.integers(0, 80, n)
+    user[:5] = np.arange(1000, 1005)       # single-event users
+    ts = np.datetime64("2024-03-01", "us") + rng.integers(
+        0, 45 * 86_400_000_000, n
+    ).astype("timedelta64[us]")
+    ts[10:20] = ts[10]                      # tied timestamps (tie-break by id)
+    value = np.round(rng.normal(0, 50, n), 2)  # negatives + tied cents
+    types = np.array(["click", "view", "purchase", "signup", "error"], object)
+    tbl = pa.table(
+        {"event_id": pa.array(np.arange(n), pa.int64()),
+         "ts": pa.array(ts),
+         "user_id": pa.array(user, pa.int64()),
+         "event_type": pa.array(types[rng.integers(0, 5, n)].tolist(), pa.string()),
+         "value": pa.array(value, pa.float64()),
+         "props": pa.array(['{"k": 1}'] * n, pa.string())}
+    )
+    pq.write_table(tbl, str(tmp_path / "events.parquet"))
+    c = duckdb.connect()
+    c.execute(
+        f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
+    )
+    qs = entrymod.queries()
+    lo = entrymod.local_oracle_sql()
+    _compare_each(("latest_event_per_user", "events_value_histogram"),
+                  lambda n: qs[n](str(tmp_path)), lambda n: c.execute(lo[n]).fetchdf())
+
+
 def test_media_neardup_recovers_planted_groups(entrymod, ray_session):
     """The image near-dup pipeline (decode → dhash → banding → hamming
     verify → union-find) must merge every planted 3-variant image group
@@ -803,9 +912,10 @@ def test_all_queries_total_on_empty_corpus(entrymod, ray_session, tmp_path):
         src = pq.read_table(f"{SF_DIR}/{t}.parquet")
         pq.write_table(src.slice(0, 0), str(tmp_path / f"{t}.parquet"))
     # scalar/summary aggregates legitimately return rows on empty input
-    # (SQL count() over empty = one 0-row; validate_docs reports every
-    # rule at 0)
-    scalar_rows = {"distinct_users_exact": 1, "validate_docs": 5,
+    # (SQL count() over empty = one 0-row; ROLLUP keeps the grand total;
+    # validate_docs reports every rule at 0)
+    scalar_rows = {"distinct_users_exact": 1, "lineitem_rollup": 1,
+                   "validate_docs": 5,
                    # fixture-driven: ignores the corpus, always one row
                    "flagship_f1": 1}
     failures = []

@@ -1,9 +1,10 @@
 """The checkpointed runner behind ``cli dedup`` runs ``near_duplicates``'
 stage list on both sides of the candidate gate: the path it takes is
 recorded in the ``edges`` lineage, a resume at any stage boundary gives the
-same assignment, the driver verify equals ``verify_edges`` (also with a
-Jaro-Winkler confirm, and inside ``incremental_match``), and neither the
-runner nor the CLI reading commands run a hidden partial execution."""
+same assignment, the driver verify equals ``verify_edges`` and
+``verify_edges_join`` (also with a Jaro-Winkler confirm, and inside
+``incremental_match``), and neither the runner nor the CLI reading commands
+run a hidden partial execution."""
 
 from __future__ import annotations
 
@@ -229,6 +230,25 @@ def test_jaro_winkler_verify_equal_on_both_paths(ray_session):
     cut = lambda col: [(by_id[i] or "")[:512] for i in metric_only.column(col).to_pylist()]
     jw = jaro_winkler_pairs(cut("src"), cut("dst"))
     assert want.equals(metric_only.filter(pa.array(jw >= 0.93)))
+
+
+@pytest.mark.parametrize("algo", ["minhash", "simhash"])
+def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, algo):
+    """``verify_edges_join`` scores with the same kernel: equal (src, dst,
+    score) to the driver verify, and no hidden ``Dataset.limit`` run (the
+    joined column names are known, not probed with ``schema()``)."""
+    import ray.data
+
+    from dedupe_ray.stages.candidates import verify_candidates, verify_edges_join
+
+    sigs = _synthetic_signatures(algo, 230)
+    cands, sigs_ds = ray.data.from_arrow(_all_pairs(sigs)), ray.data.from_arrow(sigs)
+    cfg = NearDupConfig(algo=algo)
+    order = [("src", "ascending"), ("dst", "ascending")]
+    got, _ = verify_candidates(cands, sigs_ds, cfg)
+    joined = _rows(verify_edges_join(cands, sigs_ds, cfg, num_partitions=4))
+    assert got.num_rows > 0
+    assert joined.sort_by(order).equals(got.sort_by(order))
 
 
 def test_incremental_match_gate_equals_distributed_chain(ray_session, pages_parquet):

@@ -478,6 +478,43 @@ class TestBandingGuarantees:
         assert k3.to_pylist() == k4.to_pylist()
 
 
+class TestVerifyJoinPath:
+    def test_join_verify_matches_broadcast(self, ray_session):
+        """The distributed join-based verifier must produce the same verified
+        edge set as the broadcast verifier."""
+        import ray.data
+
+        from dedupe_ray.config import NearDupConfig
+        from dedupe_ray.fixtures.pages import generate_pages
+        from dedupe_ray.pipelines.neardup import signatures_dataset
+        from dedupe_ray.stages.banding import band_emitter
+        from dedupe_ray.stages.candidates import (
+            candidate_edges,
+            dedupe_edges,
+            verify_edges,
+            verify_edges_join,
+        )
+
+        fx = generate_pages(n_pages=250, seed=11)
+        cfg = NearDupConfig(algo="minhash")
+        ds = ray.data.from_arrow(fx.pages)
+        sigs = signatures_dataset(ds, cfg, extract=False).materialize()
+        banded = sigs.map_batches(
+            band_emitter(cfg.minhash), batch_format="pyarrow", batch_size=None
+        )
+        distinct = dedupe_edges(candidate_edges(banded, 256)).materialize()
+
+        def pairset(out):
+            got = set()
+            for b in out.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+                got.update(zip(b.column("src").to_pylist(), b.column("dst").to_pylist()))
+            return got
+
+        a = pairset(verify_edges(distinct, sigs, cfg))
+        b = pairset(verify_edges_join(distinct, sigs, cfg, num_partitions=4))
+        assert a == b and len(a) > 0
+
+
 class TestSources:
     def test_read_pages_mixed_formats(self, ray_session, tmp_path):
         import json as _json
@@ -530,6 +567,7 @@ class TestSources:
         assert tbl.num_rows == 2
         assert tbl.column("lang").to_pylist() == ["en", "fr"]
         assert tbl.column("html").null_count == 2
+
 
 
 class TestComboBanding:
@@ -593,6 +631,35 @@ class TestComboBanding:
 
 
 class TestVerifyJoinSimhash:
+    def test_join_verify_simhash_algo(self, ray_session):
+        import ray.data
+
+        from dedupe_ray.config import NearDupConfig, SimHashConfig
+        from dedupe_ray.fixtures.pages import generate_pages
+        from dedupe_ray.pipelines.neardup import signatures_dataset
+        from dedupe_ray.stages.banding import band_emitter
+        from dedupe_ray.stages.candidates import (
+            candidate_edges, dedupe_edges, verify_edges, verify_edges_join,
+        )
+
+        fx = generate_pages(n_pages=200, seed=13)
+        cfg = NearDupConfig(algo="simhash")
+        sigs = signatures_dataset(
+            ray.data.from_arrow(fx.pages), cfg, extract=False
+        ).materialize()
+        banded = sigs.map_batches(band_emitter(cfg.simhash), batch_format="pyarrow",
+                                  batch_size=None)
+        distinct = dedupe_edges(candidate_edges(banded, 256)).materialize()
+
+        def pairset(out):
+            got = set()
+            for b in out.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+                got.update(zip(b.column("src").to_pylist(), b.column("dst").to_pylist()))
+            return got
+
+        a = pairset(verify_edges(distinct, sigs, cfg))
+        b = pairset(verify_edges_join(distinct, sigs, cfg, num_partitions=4))
+        assert a == b and len(a) > 0
 
     def test_emit_pairs_block_matches_naive_salted(self, ray_session):
         """The fully-vectorized pair emission (VERDICT r3 #3) must produce
