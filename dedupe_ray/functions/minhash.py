@@ -139,7 +139,7 @@ class MinHasher:
         """(n_docs, num_perms) signatures from flattened shingle hashes via
         ``np.minimum.reduceat`` — the batch hot path.
 
-        One CONTIGUOUS 1-D multiply/shift/reduceat per permutation into a
+        One CONTIGUOUS 1-D multiply + reduceat per permutation into a
         reused buffer: ~50× faster than the equivalent 2-D broadcast on
         numpy's uint64 path (which falls off the SIMD loop and allocates a
         (n_shingles × chunk) temp per op)."""
@@ -154,8 +154,9 @@ class MinHasher:
         with np.errstate(over="ignore"):
             for j in range(self.num_perms):
                 np.multiply(flat, self.a[j], out=buf)
-                buf >>= np.uint64(32)
-                out[:, j] = np.minimum.reduceat(buf, idx).astype(np.uint32)
+                # shift the n_docs minima, not the n_shingles products: the
+                # shift is monotone, so min(x >> 32) == min(x) >> 32
+                out[:, j] = np.minimum.reduceat(buf, idx) >> np.uint64(32)
         return out
 
     def text_signature(self, text: str) -> np.ndarray:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -53,7 +54,7 @@ import ray.data
 from dedupe_ray.config import NearDupConfig
 from dedupe_ray.stages.banding import band_emitter
 from dedupe_ray.stages.candidates import (
-    _EMPTY_EDGES, _collect, candidate_edges, verify_candidates,
+    _EMPTY_EDGES, _collect, _sig_column, candidate_edges, slice_columns, verify_candidates,
 )
 from dedupe_ray.stages.clustering import (
     canonical_members, cluster_lookup, connected_components, id_map, union_find_local,
@@ -416,16 +417,16 @@ def assign_clusters(
 
 
 def _driver_clusters(
-    edges: pa.Table, sigs: "ray.data.Dataset", slim: pa.Table | None
+    edges: pa.Table, sigs: "Callable[[], ray.data.Dataset]", slim: pa.Table | None
 ) -> pa.Table:
     """Step 4 and the canonical pick on the driver → (doc_id, cluster_id,
     is_canonical) for every edge-involved doc. The members' (warc_ts, url)
     come from the edges stage's signature slice, or — when that stage was resumed
-    from its checkpoint — from one filtered pass over the signatures."""
+    from its checkpoint — from one filtered pass over ``sigs()``."""
     clusters = union_find_local(edges)
     nodes, roots = id_map(clusters, "doc_id", "cluster_id")
     if slim is None:
-        members = _collect(_member_rows(sigs, ray.put((nodes, roots)), batch_size=None),
+        members = _collect(_member_rows(sigs(), ray.put((nodes, roots)), batch_size=None),
                            _EMPTY_CLUSTERS)
     else:
         members = _members(slim, nodes, roots)
@@ -434,30 +435,38 @@ def _driver_clusters(
     return clusters.append_column("is_canonical", pa.array(np.isin(doc, canon), pa.bool_()))
 
 
-def _as_table(x: "pa.Table | ray.data.Dataset", empty: pa.Table) -> pa.Table:
-    return x if isinstance(x, pa.Table) else _collect(x, empty)
+def _as_table(x: "pa.Table | Callable[[], ray.data.Dataset]", empty: pa.Table) -> pa.Table:
+    return x if isinstance(x, pa.Table) else _collect(x(), empty)
 
 
-def _run_now(name: str, fn, **_) -> "pa.Table | ray.data.Dataset":
-    """The stage wrapper of an uncheckpointed run: call the stage."""
-    return fn()
+def _run_now(name: str, fn, **_) -> "pa.Table | Callable[..., ray.data.Dataset]":
+    """The stage wrapper of an uncheckpointed run: call the stage; a
+    Dataset is handed on as a reader that returns it."""
+    out = fn()
+    return out if isinstance(out, pa.Table) else lambda columns=None: out
 
 
 def neardup_stages(
-    sigs: "ray.data.Dataset",
+    sigs: "Callable[[list[str]], ray.data.Dataset]",
     n_sigs: int,
     config: NearDupConfig,
     stage=_run_now,
     mode: str = "auto",
     keep_columns: list[str] | None = None,
     stamp_batch_size: int | None = None,
-) -> "ray.data.Dataset":
+) -> "Callable[..., ray.data.Dataset]":
     """Steps 2-5 over the signatures as the stages ``edges``, ``clusters``
     and ``assignment`` — the ONE stage list of ``near_duplicates`` and of
-    the checkpointed runner. ``stage(name, fn, upstream=..., extra_metrics=...,
-    schema=...)`` runs each: :func:`_run_now` for ``near_duplicates``,
-    ``CheckpointedRun.stage`` for the runner (which may return a stage's
-    checkpoint as a Dataset where ``fn`` returned a table).
+    the checkpointed runner; returns the assignment's reader.
+
+    Each step asks the reader ``sigs(columns)`` for the signature columns
+    it uses: the runner's reads just those (the ones its checkpoint has),
+    ``near_duplicates``' returns its materialized blocks as they are.
+    ``stage(name, fn, upstream=..., extra_metrics=..., schema=...)`` runs
+    each stage and returns its output as a ``pa.Table`` or as a reader
+    ``columns=None -> Dataset``: :func:`_run_now` for ``near_duplicates``,
+    ``CheckpointedRun.stage`` for the runner (which returns its checkpoint's
+    reader for a resumed stage where ``fn`` returned a table).
 
     The edges stage picks the path through the verify gate
     (``verify_candidates``, which ``mode`` is passed to): ``"auto"`` takes
@@ -471,12 +480,17 @@ def neardup_stages(
     ``assign_clusters``."""
     info: dict = {}
     slim = None  # the driver path's signature slice, this run only
+    # the stamp and the canonical pick read the output columns (doc_id
+    # among them)
+    stamp_sigs = partial(sigs, _output_columns(keep_columns))
 
     def _edges():
         nonlocal slim
-        cand = band_candidates(sigs, config, n_sigs)
+        cand = band_candidates(sigs(["doc_id", _sig_column(config)]), config, n_sigs)
         # the slice carries (warc_ts, url) for the canonical pick
-        edges, slim = verify_candidates(cand, sigs, config, mode, extra=("warc_ts", "url"))
+        extra = ("warc_ts", "url")
+        edges, slim = verify_candidates(cand, sigs(slice_columns(config, extra)), config, mode,
+                                        extra=extra)
         info.update(path="distributed" if slim is None else "driver", candidates=cand.count())
         return edges
 
@@ -485,14 +499,14 @@ def neardup_stages(
     # a checkpoint from before the path was recorded came from the
     # distributed stages
     if info.get("path", "distributed") == "distributed":
-        clusters = stage("clusters", lambda: cluster_edges(edges.materialize(), config),
+        clusters = stage("clusters", lambda: cluster_edges(edges().materialize(), config),
                          upstream=["edges"], schema=_EMPTY_CLUSTERS.schema)
         return stage("assignment",
-                     lambda: assign_clusters(sigs, clusters, keep_columns=keep_columns),
+                     lambda: assign_clusters(stamp_sigs(), clusters(), keep_columns=keep_columns),
                      upstream=["signatures", "clusters"], schema=_EMPTY_OUTPUT.schema)
 
     clusters = stage("clusters",
-                     lambda: _driver_clusters(_as_table(edges, _EMPTY_EDGES), sigs, slim),
+                     lambda: _driver_clusters(_as_table(edges, _EMPTY_EDGES), stamp_sigs, slim),
                      upstream=["edges"])
 
     def _assignment():
@@ -501,7 +515,7 @@ def neardup_stages(
         is_canon = cl.column("is_canonical")
         canon = pa.table({"cluster_id": cl.column("cluster_id").filter(is_canon),
                           "canonical_doc_id": cl.column("doc_id").filter(is_canon)})
-        return _broadcast_stamp(sigs, ray.put((nodes, roots)), canon, keep_columns,
+        return _broadcast_stamp(stamp_sigs(), ray.put((nodes, roots)), canon, keep_columns,
                                 batch_size=stamp_batch_size)
 
     return stage("assignment", _assignment, upstream=["signatures", "clusters"],
@@ -531,4 +545,4 @@ def near_duplicates(
     n_sigs = sigs.count()
     if n_sigs == 0:
         return ray.data.from_arrow(_EMPTY_OUTPUT)
-    return neardup_stages(sigs, n_sigs, config, mode=mode, keep_columns=keep_columns)
+    return neardup_stages(lambda _: sigs, n_sigs, config, mode=mode, keep_columns=keep_columns)()

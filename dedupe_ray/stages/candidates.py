@@ -40,8 +40,8 @@ from dedupe_ray.stages.groupapply import sorted_group_apply
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "candidate_edges", "dedupe_edges", "signature_slice", "score_pairs", "verify_edges",
-    "verify_candidates", "verify_edges_join",
+    "candidate_edges", "dedupe_edges", "slice_columns", "signature_slice", "score_pairs",
+    "verify_edges", "verify_candidates", "verify_edges_join",
 ]
 
 _EMPTY_PAIRS = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
@@ -92,19 +92,23 @@ def _emit_pairs_block(block: pa.Table, max_bucket_size: int) -> pa.Table:
     total = int(q.sum())
     if total == 0:
         return _EMPTY_PAIRS
-    dst_idx = np.repeat(np.arange(n), q)
+    # within-block dedupe (the same pair often fires in several bands that
+    # landed in this block) — cheap pre-shrink before the global dedupe.
+    # Each pair is ONE int64 code over the dense ranks of the block's
+    # members (at most one per row): ranks keep the signed doc_id order, so
+    # code order is (src, dst) order, and one sort + adjacent-diff mask
+    # replaces a two-key lexsort of the pairs (~3.5× faster on a hot block)
+    uniq, rank = np.unique(i_s, return_inverse=True)
+    m = len(uniq)
     chunk_starts = np.cumsum(q) - q
     ramp = np.arange(total) - np.repeat(chunk_starts, q)
     src_idx = np.repeat(np.arange(n) - q, q) + ramp
-    src = i_s[src_idx]
-    dst = i_s[dst_idx]
-    # within-block dedupe (the same pair often fires in several bands that
-    # landed in this block) — cheap pre-shrink before the global dedupe.
-    # lexsort + adjacent-diff mask ≈ 3× faster than np.unique(axis=0)
-    src, dst = _distinct_pairs(src, dst)
-    return pa.table(
-        {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-    )
+    code = rank[src_idx] * m
+    code += np.repeat(rank, q)
+    code.sort()
+    code = code[np.r_[True, code[1:] != code[:-1]]]
+    return pa.table({"src": pa.array(uniq[code // m], pa.int64()),
+                     "dst": pa.array(uniq[code % m], pa.int64())})
 
 
 def candidate_edges(banded: "ray.data.Dataset", max_bucket_size: int = 256) -> "ray.data.Dataset":
@@ -186,6 +190,13 @@ def _collect_edge_ids(edges: "ray.data.Dataset") -> np.ndarray:
     return np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
 
+def slice_columns(config: NearDupConfig, extra: tuple[str, ...] = ()) -> list[str]:
+    """The columns :func:`signature_slice` reads: doc_id, the signature
+    column, ``text`` when a Jaro-Winkler confirm is configured, ``extra``."""
+    text = ["text"] if config.jaro_winkler_min is not None else []
+    return ["doc_id", _sig_column(config), *text, *extra]
+
+
 def signature_slice(
     signatures: "ray.data.Dataset",
     ids: np.ndarray,
@@ -200,9 +211,7 @@ def signature_slice(
     if len(ids) == 0:
         return pa.table({"doc_id": pa.array([], pa.int64())})
     want_ref = ray.put(np.asarray(ids))
-    cols = ["doc_id", _sig_column(config)] + (
-        ["text"] if config.jaro_winkler_min is not None else []
-    ) + list(extra)
+    cols = slice_columns(config, extra)
 
     def _filter(batch: pa.Table) -> pa.Table:
         mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), ray.get(want_ref))

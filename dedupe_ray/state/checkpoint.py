@@ -14,11 +14,13 @@ lineage + metrics"). Layout:
                                       marker)
 
 ``stage(name, fn)`` runs ``fn`` → Dataset → write_parquet (or a small
-driver-side ``pa.Table`` → one ``pq.write_table``), or skips and re-reads
-when a matching _LINEAGE.json (same config hash + same upstream
-fingerprint) already exists. Writes go to ``<stage>.tmp-<pid>`` and are
-renamed into place, so a crashed writer can never be mistaken for a
-finished stage.
+driver-side ``pa.Table`` → one ``pq.write_table``), or skips when a
+matching _LINEAGE.json (same config hash + same upstream fingerprint)
+already exists. Writes go to ``<stage>.tmp-<pid>`` and are renamed into
+place, so a crashed writer can never be mistaken for a finished stage.
+
+Every read of a checkpoint goes through :func:`read_stage`: the columns its
+consumer uses, in blocks sized from the footers.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import logging
 import os
 import shutil
 import time
+from functools import partial
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -36,13 +40,28 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from dedupe_ray.sources.pages import parquet_row_count
+from dedupe_ray.sources.pages import _parquet_blocks, parquet_row_count
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["CheckpointedRun"]
+__all__ = ["CheckpointedRun", "read_stage"]
 
 _LINEAGE = "_LINEAGE.json"
+
+
+def read_stage(stage_dir: str, columns: list[str] | None = None) -> "ray.data.Dataset":
+    """THE read of a committed stage directory. ``columns``: only those of
+    them the checkpoint has (from a footer schema — no execution; all
+    columns when None or when it has none of them). Ray 2.49 does not push
+    a later projection into the read, so a consumer names its columns
+    here, and the block count comes from the footer row counts
+    (``sources._parquet_blocks``) instead of Ray's default split."""
+    if columns is not None:
+        files = sorted(glob.glob(os.path.join(stage_dir, "**", "*.parquet"), recursive=True))
+        have = set(pq.read_schema(files[0]).names) if files else set()
+        columns = [c for c in columns if c in have] or None
+    return ray.data.read_parquet(stage_dir, columns=columns,
+                                 override_num_blocks=_parquet_blocks([stage_dir]))
 
 
 class CheckpointedRun:
@@ -96,16 +115,17 @@ class CheckpointedRun:
         upstream: list[str] | None = None,
         extra_metrics: dict | None = None,
         schema: pa.Schema | None = None,
-    ) -> "ray.data.Dataset | pa.Table":
+    ) -> "Callable[..., ray.data.Dataset] | pa.Table":
         """Run (or resume) one stage.
 
         ``fn() -> Dataset``: the result is written to partitioned parquet,
-        counted from the file footers, and returned as a read of the
-        checkpoint, so downstream stages consume the checkpoint, not the
-        live lineage. A Dataset that yields no rows commits one empty file
-        with the declared ``schema`` (a lazy Dataset's own schema would cost
-        a hidden ``limit(1)`` execution), else an ``__empty__`` marker
-        column.
+        counted from the file footers, and returned as the checkpoint's
+        reader ``columns=None -> Dataset`` (:meth:`read`), so downstream
+        stages consume the checkpoint, not the live lineage, and build a
+        read — of their columns only — when they run. A Dataset that
+        yields no rows commits one empty file with the declared ``schema``
+        (a lazy Dataset's own schema would cost a hidden ``limit(1)``
+        execution), else an ``__empty__`` marker column.
 
         ``fn() -> pa.Table`` (a small driver-side stage output): written
         with one ``pq.write_table`` and returned as is — no Ray write, no
@@ -114,8 +134,7 @@ class CheckpointedRun:
         ``extra_metrics`` is merged into the lineage after ``fn`` returns
         (``fn`` may fill it); on resume it is filled back from the recorded
         lineage, so a run's decisions (e.g. the path the edges stage took)
-        are read, not recomputed. A resumed stage returns its checkpoint as
-        a Dataset."""
+        are read, not recomputed. A resumed stage returns its reader."""
         upstream = upstream or []
         final = self._stage_dir(name)
         if self.completed(name, upstream):
@@ -123,7 +142,7 @@ class CheckpointedRun:
             self.metrics[name] = {"resumed": True}
             if extra_metrics is not None:
                 extra_metrics.update(self._lineage(name) or {})
-            return ray.data.read_parquet(final)
+            return partial(self.read, name)
         tmp = f"{final}.tmp-{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
         t0 = time.monotonic()
@@ -158,7 +177,11 @@ class CheckpointedRun:
         os.rename(tmp, final)
         self.metrics[name] = lineage
         logger.info("stage %s: %d rows in %.2fs → %s", name, n_rows, wall, final)
-        return out if isinstance(out, pa.Table) else ray.data.read_parquet(final)
+        return out if isinstance(out, pa.Table) else partial(self.read, name)
+
+    def read(self, name: str, columns: list[str] | None = None) -> "ray.data.Dataset":
+        """A finished stage's checkpoint through :func:`read_stage`."""
+        return read_stage(self._stage_dir(name), columns)
 
     def write_run_manifest(self) -> None:
         with open(os.path.join(self.root, "_RUN.json"), "w") as f:

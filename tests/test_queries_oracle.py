@@ -5,11 +5,14 @@ entry at sf0.001 and compare the SQL-oracled ones against DuckDB
 from __future__ import annotations
 
 import math
+import os
 
 import duckdb
 import pandas as pd
 import pytest
 
+# the checkout these tests belong to: its __ray_entry__.py is the one tested
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -20,10 +23,9 @@ TABLES = [
 def test_entry_module_compiles_with_warnings_as_errors():
     """No invalid escape sequence in the oracle SQL literals (a
     ``SyntaxWarning`` on Python 3.12, an error in later versions)."""
-    import os
     import warnings
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "__ray_entry__.py")
+    path = os.path.join(ROOT, "__ray_entry__.py")
     with open(path) as f:
         src = f.read()
     with warnings.catch_warnings():
@@ -36,7 +38,7 @@ def entrymod(ray_session):
     import importlib
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as m
 
     importlib.reload(m)
@@ -960,7 +962,7 @@ def _local_oracle_keys():
     # collection-time import (no Ray session needed to list keys)
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as m
 
     return sorted(m.local_oracle_sql())

@@ -3,8 +3,9 @@ stage list on both sides of the candidate gate: the path it takes is
 recorded in the ``edges`` lineage, a resume at any stage boundary gives the
 same assignment, the driver verify equals ``verify_edges`` and
 ``verify_edges_join`` (also with a Jaro-Winkler confirm, and inside
-``incremental_match``), and neither the runner nor the CLI reading commands
-run a hidden partial execution."""
+``incremental_match``), each stage reads only its columns of the signatures
+checkpoint, and neither the runner nor the CLI reading commands run a hidden
+partial execution."""
 
 from __future__ import annotations
 
@@ -84,6 +85,44 @@ def test_resume_at_every_stage_boundary(ray_session, pages_parquet, tmp_path, mo
         assert _assignment(out).equals(want), deleted
         with open(os.path.join(out, "edges", "_LINEAGE.json")) as f:
             assert json.load(f)["path"] == path
+
+
+def test_signature_reads_name_their_columns(ray_session, pages_parquet, tmp_path, monkeypatch):
+    """Every read of the signatures checkpoint names its columns: ``cli
+    dedup`` never reads the extracted ``text``; with a Jaro-Winkler confirm
+    only the verify slice reads it, and the run still equals
+    ``near_duplicates``' driver path."""
+    import ray.data
+
+    from dedupe_ray.cli import main
+    from dedupe_ray.pipelines.neardup import near_duplicates
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+    from dedupe_ray.sources import read_pages
+
+    real_read, reads = ray.data.read_parquet, []
+
+    def _spy(paths, *a, **k):
+        reads.append((str(paths), k.get("columns")))
+        return real_read(paths, *a, **k)
+
+    def signature_reads() -> list:
+        got = [cols for p, cols in reads if os.path.basename(p) == "signatures"]
+        reads.clear()
+        return got
+
+    monkeypatch.setattr(ray.data, "read_parquet", _spy)
+    assert main(["dedup", "--input", pages_parquet, "--output", str(tmp_path / "cli")]) == 0
+    got = signature_reads()
+    assert len(got) == 3 and all(c is not None and "text" not in c for c in got), got
+
+    cfg = NearDupConfig(jaro_winkler_min=0.93)
+    out = str(tmp_path / "jw")
+    run_neardup_checkpointed([pages_parquet], out, cfg)
+    got = signature_reads()
+    assert len(got) == 3 and all(c is not None for c in got), got
+    assert [c for c in got if "text" in c] == [["doc_id", "minhash", "text", "warc_ts", "url"]]
+    want = _rows(near_duplicates(read_pages([pages_parquet]), cfg, mode="driver"))
+    assert _assignment(out).equals(want.sort_by([("doc_id", "ascending"), ("url", "ascending")]))
 
 
 def test_recomputed_stage_recomputes_its_downstream(ray_session, pages_parquet, tmp_path):

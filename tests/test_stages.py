@@ -665,12 +665,31 @@ class TestVerifyJoinSimhash:
         """The fully-vectorized pair emission (VERDICT r3 #3) must produce
         exactly the per-bucket naive emission — sorted unique members per
         bucket, consecutive cap-sized salt chunks, within-chunk pairs —
-        on randomized blocks with duplicate members and hot buckets."""
+        distinct and sorted by (src, dst), on randomized blocks with
+        duplicate members and hot buckets, and on one ~600-member bucket
+        over the whole signed int64 range repeated in several bands, a few
+        members missing in each, so the salt chunks shift between bands."""
         import logging
 
         import numpy as np
 
         from dedupe_ray.stages.candidates import _emit_pairs_block
+
+        def check(keys, ids, cap, case):
+            blk = pa.table({"band_key": pa.array(keys), "doc_id": pa.array(ids, pa.int64())})
+            got = _emit_pairs_block(blk, cap)
+            src, dst = (got.column(c).to_numpy() for c in ("src", "dst"))
+            exp = set()
+            for k in np.unique(keys):
+                members = np.unique(ids[keys == k])
+                for off in range(0, len(members), cap):
+                    chunk = members[off : off + cap].tolist()
+                    for x in range(len(chunk)):
+                        for y in range(x + 1, len(chunk)):
+                            exp.add((chunk[x], chunk[y]))
+            assert set(zip(src.tolist(), dst.tolist())) == exp, case
+            assert got.num_rows == len(exp), case
+            assert (np.lexsort((dst, src)) == np.arange(len(src))).all(), case
 
         logging.disable(logging.WARNING)
         try:
@@ -679,20 +698,19 @@ class TestVerifyJoinSimhash:
                 n = int(rng.integers(1, 1500))
                 keys = rng.integers(0, int(rng.integers(1, 30)), n).astype(np.int64)
                 ids = rng.integers(0, 40, n).astype(np.int64)
-                cap = int(rng.integers(2, 10))
-                blk = pa.table({"band_key": pa.array(keys), "doc_id": pa.array(ids)})
-                got = _emit_pairs_block(blk, cap)
-                gp = set(zip(got.column("src").to_pylist(),
-                             got.column("dst").to_pylist()))
-                exp = set()
-                for k in np.unique(keys):
-                    members = np.unique(ids[keys == k])
-                    for off in range(0, len(members), cap):
-                        chunk = members[off : off + cap]
-                        for x in range(len(chunk)):
-                            for y in range(x + 1, len(chunk)):
-                                exp.add((int(chunk[x]), int(chunk[y])))
-                assert gp == exp and got.num_rows == len(gp), trial
+                check(keys, ids, int(rng.integers(2, 10)), trial)
+
+            lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+            edge = np.array([lo, lo + 1, lo + 2, -1, 0, 1, hi - 2, hi - 1, hi], np.int64)
+            bucket = np.unique(np.r_[edge, rng.integers(lo, hi, 600, dtype=np.int64)])
+            keys, ids = [], []
+            for band in range(6):
+                kept = np.delete(bucket, rng.choice(len(bucket), int(rng.integers(2, 9)),
+                                                    replace=False))
+                rows = np.r_[kept, rng.choice(kept, 40)]  # duplicate rows too
+                keys.append(np.full(len(rows), band * 7919, np.int64))
+                ids.append(rng.permutation(rows))
+            check(np.concatenate(keys), np.concatenate(ids), 256, "hot bucket")
         finally:
             logging.disable(logging.NOTSET)
 
