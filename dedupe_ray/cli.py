@@ -270,9 +270,13 @@ def cmd_match(args) -> int:
               file=sys.stderr)
         return 2
     new_pages = read_pages(_expand(args.input, recursive=not args.no_recursive))
-    out = incremental_match_indexed(
-        new_pages, args.index_dir, cfg, extract=not args.no_extract
-    )
+    try:
+        out = incremental_match_indexed(
+            new_pages, args.index_dir, cfg, extract=not args.no_extract
+        )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     status = out["new_status"]
     if args.output:
         import pyarrow.parquet as pq

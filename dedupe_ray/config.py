@@ -132,6 +132,14 @@ class NearDupConfig:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
+    def signature_hash(self) -> str:
+        """Stable hash of what fixes the signatures and band keys — ``algo``,
+        ``feature`` and the signature config without its threshold — the
+        lineage key of a band index, which any threshold can match against."""
+        sig = {k: v for k, v in asdict(self.signature()).items() if k != "threshold"}
+        blob = json.dumps([self.algo, self.feature, sig], sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
 
 # Registry — the analog of ``HashTypes`` (/root/reference/hash/hash.go:41-44).
 SIGNATURE_ALGOS: dict[str, type] = {

@@ -2,18 +2,18 @@
 
 The production shape of the reference's ``Compare`` (one target vs corpus,
 /root/reference/dedupe.go:127-146) generalized to batch-vs-corpus: a fresh
-crawl increment is deduped against the already-signed corpus WITHOUT
-shuffling the corpus. The increment is the small side:
+crawl increment is deduped against a corpus signed and banded ONCE into a
+persisted index (:func:`build_band_index`), without re-extracting,
+re-signing, re-banding or shuffling the corpus. The increment is the small
+side:
 
   1. sign the increment; collect ITS band keys to the driver (bounded by
      |increment| × B × 8 bytes);
-  2. keep the corpus band rows whose key the increment has: one streaming
-     ``map_batches`` band-filter over the corpus signatures, or, against a
-     persisted index, one driver read of the row groups whose footer
-     [min, max] holds an increment key (no corpus shuffle, no corpus
-     materialization);
-  3. candidate pairs within the union of (increment ∪ surviving corpus)
-     banded rows, then the flagship's verify gate — on the driver for an
+  2. read, with pyarrow on the driver, the index's band row groups whose
+     footer [min, max] holds an increment key, keeping the rows with one of
+     those keys;
+  3. candidate pairs within those buckets, kept when an increment doc is at
+     one end, then the flagship's verify gate — on the driver for an
      increment-sized candidate list.
 
 Returns cross edges (new ↔ corpus), internal edges (new ↔ new), and a
@@ -23,6 +23,7 @@ per-new-page verdict (duplicate_of corpus doc or fresh).
 from __future__ import annotations
 
 import glob
+import json
 import logging
 import os
 
@@ -46,83 +47,7 @@ from dedupe_ray.state.checkpoint import CheckpointedRun, read_stage
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["incremental_match", "build_band_index", "incremental_match_indexed"]
-
-
-def incremental_match(
-    new_pages: "ray.data.Dataset",
-    corpus_signatures: "ray.data.Dataset",
-    config: NearDupConfig | None = None,
-    extract: bool = True,
-    corpus_bands_loader=None,
-) -> dict:
-    """Match an increment against a signed corpus.
-
-    Returns ``{"edges": Table(src, dst, score), "new_status": Table(doc_id,
-    url, duplicate_of)}`` where ``duplicate_of`` is the matched corpus/new
-    doc id (lowest-scored-first tie-break by id) or null for fresh pages.
-    Both new-internal and cross edges are included.
-
-    ``corpus_bands_loader``: optionally a callable ``(new_band_keys:
-    np.ndarray) -> list[pa.Table]`` of (band_key, doc_id) corpus rows that
-    hold every corpus band row with one of those keys, called once the
-    increment's keys are known — the PERSISTED index of
-    :func:`build_band_index`, pruned by its footers, so the corpus is
-    neither re-extracted nor re-signed nor re-banded. Without it the corpus
-    signatures are re-banded in one streaming filter pass.
-    """
-    config = config or NearDupConfig()
-    emit = band_emitter(config.signature())
-
-    new_sigs = signatures_dataset(new_pages, config, extract=extract).materialize()
-    new_banded_tbl = _collect(
-        new_sigs.map_batches(emit, batch_format="pyarrow", batch_size=None),
-        pa.table({"band_key": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}),
-    )
-    new_keys = np.unique(new_banded_tbl.column("band_key").to_numpy(zero_copy_only=False))
-
-    if corpus_bands_loader is not None:
-        banded = pa.concat_tables([*corpus_bands_loader(new_keys), new_banded_tbl])
-        banded_all = ray.data.from_arrow(banded.filter(
-            pc.is_in(banded.column("band_key"), value_set=pa.array(new_keys, pa.uint64()))))
-    else:
-        keys_ref = ray.put(new_keys)
-
-        def _band_filter(batch: pa.Table) -> pa.Table:
-            keys = ray.get(keys_ref)
-            banded = emit(batch)
-            mask = np.isin(banded.column("band_key").to_numpy(zero_copy_only=False), keys)
-            return banded.filter(pa.array(mask))
-
-        # ONE streaming pass over the corpus — no shuffle, no materialization
-        banded_all = corpus_signatures.map_batches(
-            _band_filter, batch_format="pyarrow", batch_size=None
-        ).union(ray.data.from_arrow(new_banded_tbl))
-    cand = candidate_edges(banded_all, config.max_bucket_size).materialize()
-    # the flagship's verify gate over signatures from BOTH sides; either path
-    # makes the pairs globally distinct (candidate_edges dedupes per block
-    # only — duplicate edge rows would depend on sort-partition boundaries);
-    # both sides give the slice's columns, so the union has one schema
-    cols = slice_columns(config)
-    both = corpus_signatures.select_columns(cols).union(new_sigs.select_columns(cols))
-    edges, _ = verify_candidates(cand, both, config)
-    edges = edges if isinstance(edges, pa.Table) else _collect(edges, _EMPTY_EDGES)
-
-    # per-new-page verdict (VERDICT r2 #4): the smallest partner id over the
-    # symmetrized edge list, joined onto the increment's (doc_id, url) —
-    # collected once — with null for a page without an edge
-    src, dst = edges.column("src"), edges.column("dst")
-    partners = pa.table({
-        "doc_id": pa.chunked_array(src.chunks + dst.chunks, pa.int64()),
-        "duplicate_of": pa.chunked_array(dst.chunks + src.chunks, pa.int64()),
-    }).group_by("doc_id").aggregate([("duplicate_of", "min")])
-    new_docs = _collect(
-        new_sigs.select_columns(["doc_id", "url"]),
-        pa.table({"doc_id": pa.array([], pa.int64()), "url": pa.array([], pa.string())}),
-    )
-    status = new_docs.join(partners, "doc_id", join_type="left outer").sort_by("doc_id")
-    status = status.rename_columns(["doc_id", "url", "duplicate_of"])
-    return {"edges": edges, "new_status": status}
+__all__ = ["build_band_index", "incremental_match_indexed", "pruned_band_paths"]
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +68,15 @@ def build_band_index(
     extract: bool = True,
     input_fingerprint: str = "",
 ) -> dict:
-    """Sign + band ``corpus_pages`` into ``index_dir`` (checkpointed; a
-    re-run with the same config hash + fingerprint resumes instead of
-    recomputing). The bands stage is sorted by ``band_key``: each sorted
+    """Sign + band ``corpus_pages`` into ``index_dir`` (checkpointed under
+    :meth:`NearDupConfig.signature_hash`; a re-run with the same signature
+    settings and fingerprint resumes instead of recomputing, whatever the
+    threshold). The bands stage is sorted by ``band_key``: each sorted
     block is one file of disjoint, ascending key ranges. Returns the stage
     lineage metrics."""
     config = config or NearDupConfig()
     run = CheckpointedRun(
-        index_dir, config.config_hash(), input_fingerprint=input_fingerprint
+        index_dir, config.signature_hash(), input_fingerprint=input_fingerprint
     )
     # the schemas an empty corpus commits (read_pages input assumed)
     sig_schema = signatures_schema(config, extract)
@@ -211,19 +137,75 @@ def incremental_match_indexed(
     extract: bool = True,
 ) -> dict:
     """Match an increment against the PERSISTED index at ``index_dir`` —
-    only the increment is extracted/signed; the corpus side is one driver
-    read of the hit band row groups and a streaming read of the verify
-    slice's columns of the signatures."""
+    only the increment is extracted and signed; the corpus side is one
+    driver read of the hit band row groups and a streaming read of the
+    verify slice's columns of the signatures.
 
-    def _load_bands(new_keys: np.ndarray) -> list[pa.Table]:
-        hits, total = _band_row_groups(index_dir, new_keys)
-        logger.info("incremental match: %d/%d band row groups in %d files",
-                    sum(len(r) for _, r in hits), total, len(hits))
-        return [pq.ParquetFile(p).read_row_groups(rgs, columns=["band_key", "doc_id"])
-                for p, rgs in hits]
-
+    Returns ``{"edges": Table(src, dst, score), "new_status": Table(doc_id,
+    url, duplicate_of)}``: the verified edges with an increment doc at one
+    end (new ↔ corpus and new ↔ new), and per increment doc its smallest
+    partner id, or null for a fresh page. Raises ``ValueError`` when the
+    index was built with other signature settings (its band keys would
+    miss most matches)."""
     config = config or NearDupConfig()
-    # the verify slice's columns only: the index stores the extracted text
-    corpus_sigs = read_stage(os.path.join(index_dir, "signatures"), slice_columns(config))
-    return incremental_match(new_pages, corpus_sigs, config, extract=extract,
-                             corpus_bands_loader=_load_bands)
+    with open(os.path.join(index_dir, "bands", "_LINEAGE.json")) as f:
+        built = json.load(f).get("config_hash")
+    if built != config.signature_hash():
+        raise ValueError(f"the band index at {index_dir!r} was built with other signature "
+                         "settings (algo, feature or signature config); rebuild with `cli index`")
+    emit = band_emitter(config.signature())
+
+    new_sigs = signatures_dataset(new_pages, config, extract=extract).materialize()
+    new_bands = _collect(
+        new_sigs.map_batches(emit, batch_format="pyarrow", batch_size=None),
+        pa.table({"band_key": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}),
+    )
+    new_docs = _collect(
+        new_sigs.select_columns(["doc_id", "url"]),
+        pa.table({"doc_id": pa.array([], pa.int64()), "url": pa.array([], pa.string())}),
+    )
+    new_keys = np.unique(new_bands.column("band_key").to_numpy(zero_copy_only=False))
+    hits, total = _band_row_groups(index_dir, new_keys)
+    logger.info("incremental match: %d/%d band row groups in %d files",
+                sum(len(r) for _, r in hits), total, len(hits))
+    banded = pa.concat_tables([
+        *(pq.ParquetFile(p).read_row_groups(rgs, columns=["band_key", "doc_id"])
+          for p, rgs in hits),
+        new_bands,
+    ])
+    banded = banded.filter(pc.is_in(banded.column("band_key"),
+                                    value_set=pa.array(new_keys, pa.uint64())))
+
+    # every corpus member of a bucket the increment touches is a candidate
+    # end; only pairs with an increment doc at one end are verified
+    new_ref = ray.put(np.unique(new_docs.column("doc_id").to_numpy(zero_copy_only=False)))
+
+    def _touches_increment(pairs: pa.Table) -> pa.Table:
+        new_ids = ray.get(new_ref)
+        mask = (np.isin(pairs.column("src").to_numpy(zero_copy_only=False), new_ids)
+                | np.isin(pairs.column("dst").to_numpy(zero_copy_only=False), new_ids))
+        return pairs.filter(pa.array(mask))
+
+    cand = candidate_edges(ray.data.from_arrow(banded), config.max_bucket_size).map_batches(
+        _touches_increment, batch_format="pyarrow", batch_size=None).materialize()
+    # the flagship's verify gate over signatures from BOTH sides; either path
+    # makes the pairs globally distinct (candidate_edges dedupes per block
+    # only — duplicate edge rows would depend on sort-partition boundaries);
+    # the index is read in the slice's columns only (it stores the text)
+    cols = slice_columns(config)
+    both = read_stage(os.path.join(index_dir, "signatures"), cols).union(
+        new_sigs.select_columns(cols))
+    edges, _ = verify_candidates(cand, both, config)
+    edges = edges if isinstance(edges, pa.Table) else _collect(edges, _EMPTY_EDGES)
+
+    # per-new-page verdict (VERDICT r2 #4): the smallest partner id over the
+    # symmetrized edge list, joined onto the increment's (doc_id, url), with
+    # null for a page without an edge
+    src, dst = edges.column("src"), edges.column("dst")
+    partners = pa.table({
+        "doc_id": pa.chunked_array(src.chunks + dst.chunks, pa.int64()),
+        "duplicate_of": pa.chunked_array(dst.chunks + src.chunks, pa.int64()),
+    }).group_by("doc_id").aggregate([("duplicate_of", "min")])
+    status = new_docs.join(partners, "doc_id", join_type="left outer").sort_by("doc_id")
+    status = status.rename_columns(["doc_id", "url", "duplicate_of"])
+    return {"edges": edges, "new_status": status}

@@ -252,16 +252,60 @@ def _rewrite_bands(idx: str, write) -> None:
     write(bands_dir, tbl)
 
 
+def _brute_force_match(idx: str, inc: pa.Table, cfg: NearDupConfig) -> tuple[list, pa.Table]:
+    """The unpruned reference of an indexed match, on the driver: every
+    corpus and increment signature banded with ``band_emitter``, every pair
+    within a shared key with an increment doc at one end (no bucket reaches
+    ``max_bucket_size``, so no salting), scored by the mean of equal minhash
+    slots → (sorted edge pairs, new_status)."""
+    import itertools
+
+    import numpy as np
+    import ray.data
+
+    from dedupe_ray.pipelines.neardup import signatures_dataset
+    from dedupe_ray.stages.banding import band_emitter
+
+    corpus = pq.read_table(os.path.join(idx, "signatures"), columns=["doc_id", "url", "minhash"])
+    new = pa.concat_tables(signatures_dataset(ray.data.from_arrow(inc), cfg).materialize()
+                           .select_columns(["doc_id", "url", "minhash"])
+                           .iter_batches(batch_size=None, batch_format="pyarrow"))
+    sigs = pa.concat_tables([corpus, new])
+    sig_of = dict(zip(sigs.column("doc_id").to_pylist(),
+                      (np.asarray(v, np.uint32) for v in sigs.column("minhash").to_pylist())))
+    new_ids = set(new.column("doc_id").to_pylist())
+    buckets: dict = {}
+    banded = band_emitter(cfg.signature())(sigs)
+    for key, doc in zip(banded.column("band_key").to_pylist(), banded.column("doc_id").to_pylist()):
+        buckets.setdefault(key, set()).add(doc)
+    edges = set()
+    for members in buckets.values():
+        if not members & new_ids:
+            continue
+        assert len(members) < cfg.max_bucket_size
+        for a, b in itertools.combinations(sorted(members), 2):
+            if (a in new_ids or b in new_ids) and \
+                    (sig_of[a] == sig_of[b]).mean() >= cfg.minhash.threshold:
+                edges.add((a, b))
+    partner: dict = {}
+    for a, b in edges:
+        partner[a] = min(partner.get(a, b), b)
+        partner[b] = min(partner.get(b, a), a)
+    status = new.select(["doc_id", "url"]).sort_by("doc_id")
+    status = status.append_column("duplicate_of", pa.array(
+        [partner.get(d) for d in status.column("doc_id").to_pylist()], pa.int64()))
+    return sorted(edges), status
+
+
 def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
     """VERDICT r3 #7: the persisted band index is one run sorted by
     band_key, and a match reads only the row groups whose footer
-    [min, max] holds one of the increment's keys — with the edges of
-    ``incremental_match`` re-banding the corpus signatures."""
+    [min, max] holds one of the increment's keys — with the edges and
+    ``new_status`` of a brute-force match over every banded signature."""
     import ray.data
 
     from dedupe_ray.pipelines.incremental import (
         build_band_index,
-        incremental_match,
         incremental_match_indexed,
         pruned_band_paths,
     )
@@ -289,10 +333,9 @@ def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
     out = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg)
     assert out["new_status"].num_rows == 2
     assert all(d is not None for d in out["new_status"].column("duplicate_of").to_pylist())
-    corpus_sigs = ray.data.read_parquet(os.path.join(idx, "signatures"))
-    unpruned = incremental_match(ray.data.from_arrow(inc), corpus_sigs, cfg)
-    assert _edge_pairs(out["edges"]) == _edge_pairs(unpruned["edges"])
-    assert out["new_status"].equals(unpruned["new_status"])
+    want_edges, want_status = _brute_force_match(idx, inc, cfg)
+    assert _edge_pairs(out["edges"]) == want_edges
+    assert out["new_status"].equals(want_status)
 
     # the same sorted run in small row groups (a corpus-sized index has
     # thousands): the pruned read is a strict subset, the edges unchanged
@@ -301,8 +344,8 @@ def test_band_index_partition_pruning(ray_session, pages_parquet, tmp_path):
     paths, n_hit, total = pruned_band_paths(idx, _increment_keys(inc, cfg))
     assert len(paths) == 1 and 0 < n_hit < total, (n_hit, total)
     out_small = incremental_match_indexed(ray.data.from_arrow(inc), idx, cfg)
-    assert _edge_pairs(out_small["edges"]) == _edge_pairs(unpruned["edges"])
-    assert out_small["new_status"].equals(unpruned["new_status"])
+    assert _edge_pairs(out_small["edges"]) == want_edges
+    assert out_small["new_status"].equals(want_status)
 
 
 def test_pruned_band_paths_equals_brute_force_unsigned(tmp_path):
@@ -449,9 +492,52 @@ def test_cli_index_then_match(ray_session, pages_parquet, tmp_path, capsys):
     assert res["new"] == 15 and res["duplicates"] >= 14
     assert pq.read_table(f"{out_dir}/new_status.parquet").num_rows == 15
 
+    # a threshold-only change matches against the same index
+    rc = main(["match", "--input", inc_path, "--index-dir", idx, "--output", out_dir,
+               "--threshold", "0.7"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["duplicates"] >= 14
+
+    # other signature settings give other band keys: refused, not matched
+    for flags in (["--minhash-scheme", "oph"], ["--feature", "char"], ["--algo", "simhash"]):
+        rc = main(["match", "--input", inc_path, "--index-dir", idx, *flags])
+        assert rc == 2, flags
+        assert "rebuild with `cli index`" in capsys.readouterr().err
+
     # match against a missing index is a clean exit-2 error
     rc = main(["match", "--input", inc_path, "--index-dir", str(tmp_path / "nope")])
     assert rc == 2
+
+
+def test_band_index_keyed_by_full_config_is_rebuilt_and_refused(
+    ray_session, pages_parquet, tmp_path, capsys
+):
+    """An index committed under the full ``config_hash`` (as before indexes
+    were keyed by their signature settings) is refused by ``cli match``
+    and rebuilt, not resumed, by ``build_band_index``."""
+    import ray.data
+
+    from dedupe_ray.cli import main
+    from dedupe_ray.pipelines.incremental import build_band_index
+
+    cfg = NearDupConfig()
+    idx = str(tmp_path / "idx")
+    build_band_index(ray.data.read_parquet(pages_parquet), idx, cfg, input_fingerprint="fp1")
+    for stage in ("signatures", "bands"):
+        path = os.path.join(idx, stage, "_LINEAGE.json")
+        with open(path) as f:
+            lin = json.load(f)
+        assert lin["config_hash"] == cfg.signature_hash() != cfg.config_hash()
+        lin["config_hash"] = cfg.config_hash()
+        with open(path, "w") as f:
+            json.dump(lin, f)
+
+    rc = main(["match", "--input", pages_parquet, "--index-dir", idx])
+    assert rc == 2
+    assert "rebuild with `cli index`" in capsys.readouterr().err
+    m = build_band_index(ray.data.read_parquet(pages_parquet), idx, cfg, input_fingerprint="fp1")
+    assert not m["signatures"].get("resumed") and not m["bands"].get("resumed")
+    assert m["bands"]["config_hash"] == cfg.signature_hash()
 
 
 def test_empty_stage_checkpoint_roundtrip(ray_session, pages_parquet, tmp_path):

@@ -415,14 +415,14 @@ class TestDistributedMode:
 
 
 class TestIncrementalMatch:
-    def test_new_batch_vs_corpus(self, ray_session, fixture_small):
-        """Split the fixture: clusters whose base is in the corpus and whose
-        variants arrive as the increment must be flagged duplicate_of; fresh
-        singletons must come back fresh (null)."""
+    def test_new_batch_vs_corpus(self, ray_session, fixture_small, tmp_path):
+        """Split the fixture: clusters whose base is in the indexed corpus
+        and whose variants arrive as the increment must be flagged
+        duplicate_of; fresh singletons must come back fresh (null); every
+        edge has an increment doc at one end (no corpus ↔ corpus edge)."""
         import ray.data
 
-        from dedupe_ray.pipelines.incremental import incremental_match
-        from dedupe_ray.pipelines.neardup import signatures_dataset
+        from dedupe_ray.pipelines.incremental import build_band_index, incremental_match_indexed
 
         cfg = NearDupConfig(algo="minhash")
         pages = fixture_small.pages
@@ -434,17 +434,20 @@ class TestIncrementalMatch:
         )
         new_tbl = pages.filter(is_variant)
         corpus_tbl = pages.filter(pa.compute.invert(is_variant))
-        corpus_sigs = signatures_dataset(
-            ray.data.from_arrow(corpus_tbl), cfg, extract=False
-        ).materialize()
-        out = incremental_match(
-            ray.data.from_arrow(new_tbl), corpus_sigs, cfg, extract=False
+        index = str(tmp_path / "index")
+        build_band_index(ray.data.from_arrow(corpus_tbl), index, cfg, extract=False)
+        out = incremental_match_indexed(
+            ray.data.from_arrow(new_tbl), index, cfg, extract=False
         )
         status = out["new_status"].to_pydict()
         assert len(status["doc_id"]) == new_tbl.num_rows
         matched = sum(1 for d in status["duplicate_of"] if d is not None)
         # every one of these variants has its base in the corpus
         assert matched / len(status["doc_id"]) >= 0.95, matched
+        new_ids = set(status["doc_id"])
+        edges = out["edges"].to_pydict()
+        assert edges["src"]
+        assert all(s in new_ids or d in new_ids for s, d in zip(edges["src"], edges["dst"]))
         # and a batch of fresh gibberish matches nothing
         fresh = pa.table(
             {
@@ -454,7 +457,7 @@ class TestIncrementalMatch:
                 "lang": ["en", "en"],
             }
         )
-        out2 = incremental_match(ray.data.from_arrow(fresh), corpus_sigs, cfg, extract=False)
+        out2 = incremental_match_indexed(ray.data.from_arrow(fresh), index, cfg, extract=False)
         assert all(d is None for d in out2["new_status"].to_pydict()["duplicate_of"])
 
 

@@ -1,11 +1,10 @@
 """The checkpointed runner behind ``cli dedup`` runs ``near_duplicates``'
 stage list on both sides of the candidate gate: the path it takes is
 recorded in the ``edges`` lineage, a resume at any stage boundary gives the
-same assignment, the driver verify equals ``verify_edges`` and
-``verify_edges_join`` (also with a Jaro-Winkler confirm, and inside
-``incremental_match``), each stage reads only its columns of the signatures
-checkpoint, and neither the runner nor the CLI reading commands run a hidden
-partial execution."""
+same assignment, the driver verify equals ``verify_edges`` (also with a
+Jaro-Winkler confirm, and inside ``incremental_match_indexed``), each stage
+reads only its columns of the signatures checkpoint, and neither the runner
+nor the CLI reading commands run a hidden partial execution."""
 
 from __future__ import annotations
 
@@ -271,40 +270,21 @@ def test_jaro_winkler_verify_equal_on_both_paths(ray_session):
     assert want.equals(metric_only.filter(pa.array(jw >= 0.93)))
 
 
-@pytest.mark.parametrize("algo", ["minhash", "simhash"])
-def test_verify_edges_join_equals_driver_verify_without_limit(ray_session, algo):
-    """``verify_edges_join`` scores with the same kernel: equal (src, dst,
-    score) to the driver verify, and no hidden ``Dataset.limit`` run (the
-    joined column names are known, not probed with ``schema()``)."""
+def test_incremental_match_gate_equals_distributed_chain(ray_session, pages_parquet, tmp_path):
+    """``incremental_match_indexed`` through the verify gate's driver path
+    gives the edges and ``new_status`` of the ``dedupe_edges`` →
+    ``verify_edges`` chain (the gate's distributed side, forced by
+    ``cc_local_max_edges=0``) against the same index."""
     import ray.data
 
-    from dedupe_ray.stages.candidates import verify_candidates, verify_edges_join
-
-    sigs = _synthetic_signatures(algo, 230)
-    cands, sigs_ds = ray.data.from_arrow(_all_pairs(sigs)), ray.data.from_arrow(sigs)
-    cfg = NearDupConfig(algo=algo)
-    order = [("src", "ascending"), ("dst", "ascending")]
-    got, _ = verify_candidates(cands, sigs_ds, cfg)
-    joined = _rows(verify_edges_join(cands, sigs_ds, cfg, num_partitions=4))
-    assert got.num_rows > 0
-    assert joined.sort_by(order).equals(got.sort_by(order))
-
-
-def test_incremental_match_gate_equals_distributed_chain(ray_session, pages_parquet):
-    """``incremental_match`` through the verify gate's driver path gives the
-    edges and ``new_status`` of the ``dedupe_edges`` → ``verify_edges``
-    chain (the gate's distributed side, forced by ``cc_local_max_edges=0``)."""
-    import ray.data
-
-    from dedupe_ray.pipelines.incremental import incremental_match
-    from dedupe_ray.pipelines.neardup import signatures_dataset
+    from dedupe_ray.pipelines.incremental import build_band_index, incremental_match_indexed
 
     pages = pq.read_table(pages_parquet)
     rows = np.arange(pages.num_rows)
-    corpus_sigs = signatures_dataset(ray.data.from_arrow(pages.take(rows[rows % 3 > 0])),
-                                     NearDupConfig()).materialize()
+    index = str(tmp_path / "index")
+    build_band_index(ray.data.from_arrow(pages.take(rows[rows % 3 > 0])), index, NearDupConfig())
     increment = ray.data.from_arrow(pages.take(rows[rows % 3 == 0]))
-    out = {gate: incremental_match(increment, corpus_sigs, NearDupConfig(cc_local_max_edges=gate))
+    out = {gate: incremental_match_indexed(increment, index, NearDupConfig(cc_local_max_edges=gate))
            for gate in (2_000_000, 0)}
     order = [("src", "ascending"), ("dst", "ascending")]
     driver, chain = out[2_000_000], out[0]
