@@ -107,24 +107,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fuzzy_match_parts": Q.fuzzy_match_parts,
         "fuzzy_match_docs": Q.fuzzy_match_docs,
         "decontaminate_docs": Q.decontaminate_docs,
-        "tfidf_top_terms": Q.tfidf_top_terms,
         "canonical_url_dedup": Q.canonical_url_dedup,
-        "top_tokens_mg": Q.top_tokens_mg,
         # image near-dup end-to-end (decode is not SQL-expressible;
         # planted-group recovery pinned by test)
         "media_neardup": Q.media_neardup,
-        "weighted_sample_docs": Q.weighted_sample_docs,
         "validate_docs": Q.validate_docs,
         "normalize_docs": Q.normalize_docs,
         "snapshot_diff_docs": Q.snapshot_diff_docs,
-        "top_bigrams": Q.top_bigrams,
-        "quality_by_source": Q.quality_by_source,
         "segment_rewrite_docs": Q.segment_rewrite_docs,
-        "cross_source_tokens": Q.cross_source_tokens,
-        "token_freq_exact": Q.token_freq_exact,
-        "doc_tokens_long": Q.doc_tokens_long,
-        # CMS sibling of the oracled exact probe frequencies
-        "token_freq_cms": Q.token_freq_cms,
         # ExactSubstr duplicate-span removal (Lee et al. 2021; local-oracled)
         "dedup_spans_docs": Q.dedup_spans_docs,
         # SemDeDup audit: n_lists=1 all-pairs quantized-cosine prune,
@@ -666,24 +656,6 @@ def local_oracle_sql() -> dict[str, str]:
             "CAST(d.doc_id % 100 = 0 AS BIGINT) AS is_eval "
             "FROM documents d LEFT JOIN cnt USING (doc_id)"
         ),
-        "tfidf_top_terms": (
-            # fixed-point linear-idf tf-idf: score_fp = tf * 2^20 // df is
-            # exact BIGINT arithmetic in both engines; top-5 per doc by
-            # (score desc, token asc) via row_number
-            "WITH tok AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS t "
-            "FROM documents), "
-            "tf AS (SELECT doc_id, t AS token, CAST(count(*) AS BIGINT) AS tf "
-            "FROM tok GROUP BY doc_id, t), "
-            "df AS (SELECT token, CAST(count(*) AS BIGINT) AS df "
-            "FROM tf GROUP BY token) "
-            "SELECT doc_id, token, tf, df, score_fp FROM ("
-            "SELECT tf.doc_id, tf.token, tf.tf, df.df, "
-            "tf.tf * 1048576 // df.df AS score_fp, "
-            "row_number() OVER (PARTITION BY tf.doc_id "
-            "ORDER BY tf.tf * 1048576 // df.df DESC, tf.token) AS rk "
-            "FROM tf JOIN df USING (token)) WHERE rk <= 5"
-        ),
         "canonical_url_dedup": (
             # replay the FULL canonicalizer over the same synthesized messy
             # urls (scheme/host case, www., default ports, trailing slash,
@@ -734,29 +706,6 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT canonical_url, CAST(count(*) AS BIGINT) AS n_dups, "
             "min(doc_id) AS keep_id FROM canon GROUP BY canonical_url"
         ),
-        "top_tokens_mg": (
-            # identical semantics to the driver-oracled top_tokens: the
-            # Misra-Gries two-pass variant must produce the SAME exact top-20
-            "SELECT t AS token, count(*) AS n FROM documents, "
-            "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS u(t) "
-            "GROUP BY t ORDER BY n DESC, token LIMIT 20"
-        ),
-        "weighted_sample_docs": (
-            # mix64 = the fingerprint finalizer replayed in HUGEINT wrap
-            # arithmetic (same 32x64 multiply split as the winnowing oracle)
-            "WITH d AS (SELECT doc_id, n_chars, "
-            "CAST(greatest(n_chars, 1) AS HUGEINT) AS w, "
-            "CAST(doc_id AS UBIGINT) AS h0 FROM documents), "
-            "m1 AS (SELECT doc_id, n_chars, w, "
-            "CAST(xor(h0, h0 >> 33) AS HUGEINT) AS h1 FROM d), "
-            f"m2 AS (SELECT doc_id, n_chars, w, ((h1 % 4294967296) * {_FP_MIX} + "
-            f"((h1 // 4294967296) * {_FP_MIX} % 4294967296) * 4294967296) "
-            f"% {_FP_M64} AS h2 FROM m1), "
-            "hh AS (SELECT doc_id, n_chars, w, CAST(xor(CAST(h2 AS UBIGINT), "
-            "CAST(h2 AS UBIGINT) >> 33) AS HUGEINT) AS h FROM m2) "
-            "SELECT doc_id, n_chars, CAST(h // w AS UBIGINT) AS priority "
-            "FROM hh ORDER BY h // w, doc_id LIMIT 64"
-        ),
         "validate_docs": (
             "SELECT 'null_text' AS rule, CAST(count(*) FILTER "
             "(WHERE text IS NULL) AS BIGINT) AS n_violations FROM documents "
@@ -795,38 +744,6 @@ def local_oracle_sql() -> dict[str, str]:
             "ELSE 'unchanged' END AS status "
             "FROM cur c FULL OUTER JOIN prev p ON c.doc_id = p.doc_id"
         ),
-        "top_bigrams": (
-            "WITH tok AS (SELECT regexp_extract_all(lower(text), '[a-z0-9]+') "
-            "AS t FROM documents), "
-            "g AS (SELECT t[i] || ' ' || t[i+1] AS bigram "
-            "FROM tok, UNNEST(range(1, len(t))) AS u(i) WHERE len(t) >= 2) "
-            "SELECT bigram, count(*) AS n FROM g GROUP BY bigram "
-            "ORDER BY n DESC, bigram LIMIT 20"
-        ),
-        "quality_by_source": (
-            # per-doc quality replayed exactly as the quality_docs oracle,
-            # quantized to fixed point so the grouped sum is exact integers
-            "WITH s AS (SELECT source, "
-            "CAST(length(text) AS DOUBLE) AS n_chars, "
-            "CAST(len(regexp_extract_all(text, '[^\\s]+')) AS DOUBLE) AS n_tokens, "
-            "CAST(len(regexp_extract_all(text, '[.,;:!?]')) AS DOUBLE) AS n_punct, "
-            "CAST(len(regexp_extract_all(text, '[0-9]')) AS DOUBLE) AS n_digits, "
-            "CAST(len(regexp_extract_all(text, '[a-zA-Z]')) AS DOUBLE) AS n_alpha "
-            "FROM documents), "
-            "r AS (SELECT source, "
-            "n_alpha / greatest(n_chars, 1.0) AS alpha_ratio, "
-            "n_punct / greatest(n_tokens, 1.0) AS punct_ratio, "
-            "n_digits / greatest(n_chars, 1.0) AS digit_ratio, "
-            "n_chars / greatest(n_tokens, 1.0) AS mean_token_len FROM s), "
-            "q AS (SELECT source, CAST(floor((alpha_ratio * "
-            "((1.0 - least(digit_ratio, 1.0)) * "
-            "(0.5 + 0.5 * CAST(mean_token_len >= 3.0 AND mean_token_len <= 12.0 "
-            "AS DOUBLE)))) * 1000000 + 0.5) AS BIGINT) AS qfp FROM r) "
-            "SELECT source, CAST(count(*) AS BIGINT) AS n_docs, "
-            "CAST(sum(qfp) AS BIGINT) AS sum_q_fp, "
-            "CAST(sum(qfp) AS DOUBLE) / greatest(count(*), 1) AS mean_q_fp "
-            "FROM q GROUP BY source"
-        ),
         "segment_rewrite_docs": (
             "WITH sp AS (SELECT doc_id, string_split(text, '. ') AS t "
             "FROM documents WHERE text IS NOT NULL), "
@@ -841,31 +758,6 @@ def local_oracle_sql() -> dict[str, str]:
             "SELECT d.doc_id, COALESCE(ct, '') AS clean_text, "
             "COALESCE(nk, 0) AS n_kept_segments "
             "FROM documents d LEFT JOIN rb USING (doc_id)"
-        ),
-        "cross_source_tokens": (
-            "WITH tok AS (SELECT COALESCE(source, '') AS source, "
-            "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS t "
-            "FROM documents) "
-            "SELECT t AS token, CAST(count(DISTINCT source) AS BIGINT) "
-            "AS n_sources, CAST(count(*) AS BIGINT) AS n_total "
-            "FROM tok GROUP BY t HAVING count(DISTINCT source) >= 3"
-        ),
-        "token_freq_exact": (
-            # probe set = the 50 alphabetically-first distinct tokens;
-            # zero-count probes kept (cannot occur by construction — every
-            # probe came from the corpus — but the LEFT shape is the point)
-            "WITH tok AS (SELECT unnest(regexp_extract_all(lower(text), "
-            "'[a-z0-9]+')) AS t FROM documents), "
-            "probe AS (SELECT DISTINCT t FROM tok ORDER BY t LIMIT 50) "
-            "SELECT probe.t AS token, "
-            "CAST(count(tok.t) AS BIGINT) AS n "
-            "FROM probe LEFT JOIN tok ON tok.t = probe.t GROUP BY probe.t"
-        ),
-        "doc_tokens_long": (
-            "WITH tok AS (SELECT doc_id, regexp_extract_all(lower(text), "
-            "'[a-z0-9]+') AS t FROM documents) "
-            "SELECT doc_id, CAST(i AS BIGINT) AS pos, t[i] AS token "
-            "FROM tok, UNNEST(range(1, len(t) + 1)) AS u(i)"
         ),
         "dedup_spans_docs": (
             # ExactSubstr replay: every 8-token window ≥2 occurrences

@@ -45,21 +45,13 @@ BENCH_QUERIES = [
     "vocab_stats",                 # r4: distinct-token partials, no text shuffle
     "fuzzy_match_parts",           # r4: blocked Jaro-Winkler ER (vocabulary grain)
     "fuzzy_match_docs",            # r4: blocked Jaro-Winkler ER (record grain)
-    "tfidf_top_terms",             # r4: tf-idf keywords (df shuffle + broadcast)
     "decontaminate_docs",          # r4: eval-ngram membership pass
     "canonical_url_dedup",         # r4: vectorized URL canonicalization dedup
-    "top_tokens_mg",               # r4: Misra-Gries no-shuffle exact top-k
-    "weighted_sample_docs",        # r4: deterministic weighted priority sample
     "validate_docs",               # r4: data-validation audit partials
     "normalize_docs",              # r4: unicode NFC + case/space canonicalization
     "snapshot_diff_docs",          # r4: crawl-delta diff via tagged-union partition
-    "top_bigrams",                 # r4: distributed bigram counts + local top-k
-    "quality_by_source",           # r4: fixed-point quality rollup per source
     "segment_rewrite_docs",        # r4: C4 boilerplate removal (rewrite pass)
-    "cross_source_tokens",         # r4: distinct-source tokens via pair partials
     "media_neardup",               # r4: image near-dup end-to-end (decode→dhash→LSH)
-    "token_freq_exact",            # r4: probe-token exact counts (broadcast + bincount)
-    "token_freq_cms",              # r4: Count-Min point-frequency sketch
     "dedup_spans_docs",            # r5: ExactSubstr duplicate-span removal (Lee et al.)
     "semdedup_embeddings",         # r5: SemDeDup k-means + within-cluster cosine prune
     "lm_score_docs",               # r5: corpus-bigram-LM scoring (CCNet quality shape)
@@ -85,8 +77,6 @@ SUMMARY_QUERIES = [
     "canonical_url_dedup",
     "events_hourly_window",
     "user_sessions",
-    "tfidf_top_terms",
-    "top_tokens_mg",
 ]
 
 

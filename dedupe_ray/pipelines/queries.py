@@ -1553,6 +1553,12 @@ def user_sessions(sf_dir: str):
     return sorted_group_apply(ds, "user_id", _sessions)
 
 
+# Where ``incremental_match_docs`` keeps its band index when no
+# ``index_root`` is given: one subdirectory per input fingerprint, so a
+# repeat call over the same documents file resumes it.
+DEFAULT_INDEX_ROOT = "/tmp/dedupe_ray_index"
+
+
 def incremental_match_docs(sf_dir: str, index_root: str | None = None):
     """Incremental batch-vs-corpus matching THROUGH the persisted band index
     (VERDICT r1 #9): corpus = base pages from the documents table, signed +
@@ -1588,8 +1594,7 @@ def incremental_match_docs(sf_dir: str, index_root: str | None = None):
     fingerprint = _input_fingerprint([os.path.join(sf_dir, "documents.parquet")])
     if index_root is None:
         index_root = os.path.join(
-            "/tmp", "dedupe_ray_index",
-            hashlib.sha1(fingerprint.encode()).hexdigest()[:16],
+            DEFAULT_INDEX_ROOT, hashlib.sha1(fingerprint.encode()).hexdigest()[:16],
         )
     build_band_index(corpus, index_root, cfg, input_fingerprint=fingerprint)
     out = incremental_match_indexed(increment, index_root, cfg)
@@ -2902,7 +2907,7 @@ def fuzzy_match_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# r4: benchmark decontamination + tf-idf keyword extraction
+# r4: benchmark decontamination
 # ---------------------------------------------------------------------------
 
 
@@ -2965,102 +2970,8 @@ def decontaminate_docs(sf_dir: str, n: int = 3, eval_mod: int = 100):
     return docs.map_batches(_score, batch_format="pyarrow", batch_size=None)
 
 
-def tfidf_top_terms(sf_dir: str, k: int = 5, scale: int = 1 << 20):
-    """Per-document top-``k`` keywords by tf-idf with a LINEAR idf (score ∝
-    tf/df), emitted as the exact fixed-point integer
-    ``score_fp = tf * scale // df`` so the DuckDB oracle is bit-identical
-    (CLAUDE.md float rule: no multi-term float reductions in hash-compared
-    columns; linear idf ranks like tf·(N/df) for fixed N). Shape: per-batch
-    DISTINCT (token, doc) partials (a doc lives in one batch, so per-batch
-    distinct is globally distinct) → distributed ``groupby(token).count()``
-    = document frequency — the only shuffle, vocabulary-sized rows — df map
-    broadcast once; the scoring pass computes per-(doc, token) tf with one
-    lexsort + run-length pass and selects top-k per doc by
-    (score desc, token asc) with group-offset arithmetic, no per-doc loop."""
-    import re
-
-    from ray.data.aggregate import Count
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-
-    def _pairs(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        toks: list[str] = []
-        out_ids: list[int] = []
-        for i, t in enumerate(batch.column("text").to_pylist()):
-            tl = sorted(set(pat.findall((t or "").lower())))
-            toks.extend(tl)
-            out_ids.extend([int(ids[i])] * len(tl))
-        return pa.table(
-            {"token": pa.array(toks, pa.string()),
-             "doc_id": pa.array(out_ids, pa.int64())}
-        )
-
-    dfds = (
-        docs.map_batches(_pairs, batch_format="pyarrow", batch_size=None)
-        .groupby("token")
-        .aggregate(Count(alias_name="df"))
-    )
-    df_tbl = _collect(
-        dfds, pa.table({"token": pa.array([], pa.string()),
-                        "df": pa.array([], pa.int64())}))
-    vocab = np.asarray(df_tbl.column("token").to_pylist())
-    dfv = df_tbl.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(vocab, kind="stable")
-    ref = ray.put((vocab[order], dfv[order]))
-
-    def _score(batch: pa.Table) -> pa.Table:
-        v, dfa = ray.get(ref)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        tok_lists = [
-            pat.findall((t or "").lower()) for t in batch.column("text").to_pylist()
-        ]
-        lens = np.fromiter((len(t) for t in tok_lists), np.int64, count=len(tok_lists))
-        flat: list[str] = []
-        for tl in tok_lists:
-            flat.extend(tl)
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "token": pa.array([], pa.string()),
-             "tf": pa.array([], pa.int64()), "df": pa.array([], pa.int64()),
-             "score_fp": pa.array([], pa.int64())}
-        )
-        if not flat:
-            return empty
-        toks = np.asarray(flat)
-        doc_idx = np.repeat(np.arange(len(lens)), lens)
-        # tf per (doc, token): lexsort then run-length over adjacent equality
-        o = np.lexsort((toks, doc_idx))
-        toks, doc_idx = toks[o], doc_idx[o]
-        new = np.r_[True, (doc_idx[1:] != doc_idx[:-1]) | (toks[1:] != toks[:-1])]
-        starts = np.flatnonzero(new)
-        tf = np.diff(np.r_[starts, len(toks)]).astype(np.int64)
-        ptok, pdoc = toks[starts], doc_idx[starts]
-        pdf = dfa[np.searchsorted(v, ptok)]
-        score = tf * np.int64(scale) // pdf
-        # top-k per doc: (doc, -score, token) order + group-offset ranks
-        o2 = np.lexsort((ptok, -score, pdoc))
-        pdoc2 = pdoc[o2]
-        gstart = np.flatnonzero(np.r_[True, pdoc2[1:] != pdoc2[:-1]])
-        rank = np.arange(len(pdoc2)) - np.repeat(
-            gstart, np.diff(np.r_[gstart, len(pdoc2)])
-        )
-        keep = o2[rank < k]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[pdoc[keep]], pa.int64()),
-                "token": pa.array(ptok[keep].tolist(), pa.string()),
-                "tf": pa.array(tf[keep], pa.int64()),
-                "df": pa.array(pdf[keep], pa.int64()),
-                "score_fp": pa.array(score[keep], pa.int64()),
-            }
-        )
-
-    return docs.map_batches(_score, batch_format="pyarrow", batch_size=None)
-
-
 # ---------------------------------------------------------------------------
-# r4: URL canonicalization dedup, Misra-Gries heavy hitters
+# r4: URL canonicalization dedup
 # ---------------------------------------------------------------------------
 
 
@@ -3154,171 +3065,9 @@ def canonical_url_dedup(sf_dir: str):
     )
 
 
-def top_tokens_mg(sf_dir: str, k: int = 20, m: int = 4096):
-    """Exact top-``k`` tokens with NO shuffle: a mergeable Misra-Gries
-    summary (Agarwal et al. 2013, "Mergeable Summaries") finds a provably
-    complete candidate set in one streaming pass, a second streaming pass
-    recounts the candidates exactly. ``top_tokens`` shuffles the whole
-    vocabulary through ``groupby(token)``; this variant moves only
-    ``(m+1) x n_blocks`` summary rows to the driver and a broadcast
-    candidate list back — the shape that wins when the vocabulary is
-    corpus-sized (urls, hosts, shingles) and the shuffle is the bottleneck.
-
-    Pass 1: per-batch exact counts compressed to an m-counter MG summary
-    (decrement all by the (m+1)-th largest count, drop <=0; the decrement is
-    the summary's error bound and rides along as a sentinel ""-token row —
-    the tokenizer never emits an empty token). Driver merge: sum summaries,
-    total error = sum of per-batch decrements; candidates = every token
-    whose upper bound (merged + err) reaches the k-th largest merged count
-    — a superset of any possible true top-k, ties included.
-    Pass 2: broadcast the sorted candidate array once (``ray.put``);
-    per-batch ``np.isin`` + exact counts; driver sums candidate-sized
-    partials and takes top-k by (count desc, token asc) — identical
-    semantics to ``top_tokens``/the SQL oracle, verified equal."""
-    import re
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def _batch_tokens(batch: pa.Table) -> np.ndarray:
-        toks: list[str] = []
-        for t in batch.column("text").to_pylist():
-            toks.extend(pat.findall((t or "").lower()))
-        return np.asarray(toks, dtype=object)
-
-    def _mg_partial(batch: pa.Table) -> pa.Table:
-        toks = _batch_tokens(batch)
-        empty = pa.table({"token": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64())})
-        if not len(toks):
-            return empty
-        uniq, counts = np.unique(toks, return_counts=True)
-        counts = counts.astype(np.int64)
-        dec = 0
-        if len(uniq) > m:
-            # MG compression: decrement by the (m+1)-th largest count
-            dec = int(np.partition(counts, -m - 1)[-m - 1])
-            keep = counts > dec
-            uniq, counts = uniq[keep], counts[keep] - dec
-        out_tok = np.r_[uniq, np.asarray([""], dtype=object)]
-        out_n = np.r_[counts, np.int64(dec)]
-        return pa.table({"token": pa.array(out_tok.tolist(), pa.string()),
-                         "n": pa.array(out_n, pa.int64())})
-
-    parts = ds.map_batches(_mg_partial, batch_format="pyarrow", batch_size=None)
-    tbl = _collect(parts, pa.table({"token": pa.array([], pa.string()),
-                                    "n": pa.array([], pa.int64())}))
-    if tbl.num_rows == 0:
-        return tbl
-    toks = np.asarray(tbl.column("token").to_pylist(), dtype=object)
-    ns = tbl.column("n").to_numpy(zero_copy_only=False)
-    sentinel = np.asarray([t == "" for t in toks])
-    err = int(ns[sentinel].sum())
-    toks, ns = toks[~sentinel], ns[~sentinel]
-    uniq, inv = np.unique(toks, return_inverse=True)
-    merged = np.bincount(inv, weights=ns).astype(np.int64)
-    if len(merged) == 0:
-        return pa.table({"token": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
-    kth = (np.partition(merged, -k)[-k] if len(merged) >= k else np.int64(0))
-    # Soundness gate (ADVICE r4): a token absent from the merged summary has
-    # true count <= err, and merged <= true, so every true top-k token is
-    # guaranteed present only when err < kth (any true top-k count >= true
-    # kth-largest >= merged kth-largest = kth > err). err == 0 means no batch
-    # ever compressed — summaries are exact. Otherwise (flat, vocab-heavy
-    # corpora where every batch exceeds m distinct tokens) a true top-k token
-    # may have been decremented out of every summary and the candidate set is
-    # NOT provably complete — fall back to the shuffle-based exact top-k.
-    if err > 0 and err >= int(kth):
-        return top_tokens(sf_dir, k=k)
-    cand = np.sort(uniq[merged + err >= kth])
-    ref = ray.put(cand)
-
-    def _recount(batch: pa.Table) -> pa.Table:
-        cs = ray.get(ref)
-        toks_b = _batch_tokens(batch)
-        empty = pa.table({"token": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64())})
-        if not len(toks_b):
-            return empty
-        hit = toks_b[np.isin(toks_b, cs)]
-        if not len(hit):
-            return empty
-        u, c = np.unique(hit, return_counts=True)
-        return pa.table({"token": pa.array(u.tolist(), pa.string()),
-                         "n": pa.array(c.astype(np.int64), pa.int64())})
-
-    parts2 = ds.map_batches(_recount, batch_format="pyarrow", batch_size=None)
-    t2 = _collect(parts2, pa.table({"token": pa.array([], pa.string()),
-                                    "n": pa.array([], pa.int64())}))
-    toks2 = np.asarray(t2.column("token").to_pylist(), dtype=object)
-    n2 = t2.column("n").to_numpy(zero_copy_only=False)
-    u2, inv2 = np.unique(toks2, return_inverse=True)
-    tot = np.bincount(inv2, weights=n2).astype(np.int64)
-    order = np.lexsort((u2, -tot))[:k]
-    return pa.table({"token": pa.array(u2[order].tolist(), pa.string()),
-                     "n": pa.array(tot[order], pa.int64())})
-
-
 # ---------------------------------------------------------------------------
-# r4 (cont.): weighted sampling, validation audit
+# r4 (cont.): validation audit
 # ---------------------------------------------------------------------------
-
-
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """Splitmix-style 64-bit finalizer (the fingerprint kernel's mix,
-    functions/fingerprint.py) over a uint64 array — contiguous 1-D ops."""
-    h = h.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-    return h
-
-
-def weighted_sample_docs(sf_dir: str, k: int = 64):
-    """Deterministic weighted (length-proportional) sampling: priority =
-    mix64(doc_id) // max(n_chars, 1); the k smallest (priority, doc_id)
-    rows win. Longer docs draw proportionally smaller priorities, so
-    selection is ≈ weight-proportional — priority sampling with a
-    deterministic hash in place of the random key (cf. Efraimidis-
-    Spirakis weighted reservoirs), reproducible across runs and engines.
-    Partial-top-k per block (the ``stratified_sample_docs`` shape): the
-    corpus never shuffles, the driver merges ≤ k × n_blocks candidate
-    rows. The mix is the fingerprint finalizer, replayed in HUGEINT wrap
-    arithmetic for the SQL oracle."""
-    ds = read_table(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def _topk(ids: np.ndarray, chars: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = np.maximum(chars, 1).astype(np.uint64)
-        prio = _mix64(ids.astype(np.uint64)) // w
-        o = np.lexsort((ids, prio))[:k]
-        return ids[o], chars[o], prio[o]
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ids, chars, prio = _topk(
-            batch.column("doc_id").to_numpy(zero_copy_only=False),
-            batch.column("n_chars").to_numpy(zero_copy_only=False),
-        )
-        return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "n_chars": pa.array(chars, pa.int64()),
-             "priority": pa.array(prio, pa.uint64())}
-        )
-
-    cand = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
-                    pa.table({"doc_id": pa.array([], pa.int64()),
-                              "n_chars": pa.array([], pa.int64()),
-                              "priority": pa.array([], pa.uint64())}))
-    ids, chars, prio = _topk(
-        cand.column("doc_id").to_numpy(zero_copy_only=False),
-        cand.column("n_chars").to_numpy(zero_copy_only=False),
-    )
-    return pa.table(
-        {"doc_id": pa.array(ids, pa.int64()),
-         "n_chars": pa.array(chars, pa.int64()),
-         "priority": pa.array(prio, pa.uint64())}
-    )
 
 
 def validate_docs(sf_dir: str):
@@ -3407,8 +3156,7 @@ def validate_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# r4 (cont.): text normalization, snapshot diff, bigram counts, grouped
-# quality rollup
+# r4 (cont.): text normalization, snapshot diff
 # ---------------------------------------------------------------------------
 
 
@@ -3541,106 +3289,8 @@ def snapshot_diff_docs(sf_dir: str):
     return sorted_group_apply(rows, "doc_id", _classify)
 
 
-def top_bigrams(sf_dir: str, k: int = 20):
-    """Top-k adjacent word bigrams across the corpus — the n-gram LM count
-    companion to ``top_tokens``, same fully-distributed shape: per-batch
-    exact partials → ``groupby(bigram).sum`` (each bigram's total in exactly
-    one block) → per-block top-k pruning → driver merges k × n_blocks rows,
-    never the bigram vocabulary. Ties break bigram-ascending; tokenizer is
-    the audit-family ASCII regex."""
-    import re
-
-    from ray.data.aggregate import Sum
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        grams: list[str] = []
-        for t in batch.column("text").to_pylist():
-            toks = pat.findall((t or "").lower())
-            grams.extend(
-                [a + " " + b for a, b in zip(toks, toks[1:])]
-            )
-        if not grams:
-            return pa.table({"bigram": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        uniq, counts = np.unique(np.asarray(grams), return_counts=True)
-        return pa.table({"bigram": pa.array(uniq.tolist(), pa.string()),
-                         "n": pa.array(counts.astype(np.int64), pa.int64())})
-
-    totals = (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def _local_topk(block: pa.Table) -> pa.Table:
-        if block.num_rows <= k:
-            return block
-        n = block.column("n").to_numpy(zero_copy_only=False)
-        g = np.asarray(block.column("bigram").to_pylist(), dtype=object)
-        order = np.lexsort((g, -n))[:k]
-        return block.take(pa.array(np.sort(order)))
-
-    pruned = totals.map_batches(_local_topk, batch_format="pyarrow", batch_size=None)
-    cand = _collect(pruned, pa.table({"bigram": pa.array([], pa.string()),
-                                      "n": pa.array([], pa.int64())}))
-    items = sorted(
-        zip(cand.column("bigram").to_pylist(), cand.column("n").to_pylist()),
-        key=lambda kv: (-kv[1], kv[0]),
-    )[:k]
-    return pa.table(
-        {"bigram": pa.array([g for g, _ in items], pa.string()),
-         "n": pa.array([int(n) for _, n in items], pa.int64())}
-    )
-
-
-def quality_by_source(sf_dir: str):
-    """Per-source quality rollup: the Gopher-style per-doc quality score
-    (bit-identical floats, see ``quality_docs``) quantized to exact fixed
-    point (``floor(score·10⁶ + 0.5)``), then summed per source — integer
-    sums are order-independent, so the grouped aggregate is bit-identical to
-    SQL, unlike a float mean reduced in arbitrary order. ``mean_q_fp`` is
-    ONE final IEEE division of exact ints. Per-batch partials collapse each
-    batch to one row per source before the tiny groupby."""
-    from ray.data.aggregate import Sum
-
-    ds = read_table(sf_dir, "documents", ["source", "text"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        q = quality_score_table(batch.column("text"))["quality_score"]
-        qfp = np.floor(
-            q.to_numpy(zero_copy_only=False) * 1_000_000.0 + 0.5
-        ).astype(np.int64)
-        t = pa.table(
-            {"source": batch.column("source"),
-             "q_fp": pa.array(qfp, pa.int64())}
-        ).group_by("source").aggregate([("q_fp", "sum"), ([], "count_all")])
-        ren = {"q_fp_sum": "p_q", "count_all": "p_n"}
-        return t.rename_columns([ren.get(c, c) for c in t.column_names])
-
-    out = (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-        .groupby("source")
-        .aggregate(Sum("p_q", alias_name="sum_q_fp"), Sum("p_n", alias_name="n_docs"))
-    )
-
-    def _mean(batch: pa.Table) -> pa.Table:
-        s = batch.column("sum_q_fp").to_numpy(zero_copy_only=False)
-        n = batch.column("n_docs").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"source": batch.column("source"),
-             "n_docs": pc.cast(batch.column("n_docs"), pa.int64()),
-             "sum_q_fp": pc.cast(batch.column("sum_q_fp"), pa.int64()),
-             "mean_q_fp": pa.array(s / np.maximum(n, 1), pa.float64())}
-        )
-
-    return out.map_batches(_mean, batch_format="pyarrow", batch_size=None)
-
-
 # ---------------------------------------------------------------------------
-# r4 (cont.): C4 segment rewrite, cross-source token stats
+# r4 (cont.): C4 segment rewrite
 # ---------------------------------------------------------------------------
 
 
@@ -3702,74 +3352,6 @@ def segment_rewrite_docs(sf_dir: str, min_count: int = 3):
         )
 
     return ds.map_batches(_rewrite, batch_format="pyarrow", batch_size=None)
-
-
-def cross_source_tokens(sf_dir: str, min_sources: int = 3):
-    """Tokens shared across ≥ ``min_sources`` distinct sources — the
-    cross-domain vocabulary a corpus curator inspects (boilerplate vs
-    domain-specific terms). Per-batch partials pre-dedupe to distinct
-    (token, source) pairs with counts, so the single sort moves ≤
-    vocabulary × min(sources, blocks) rows (never the corpus); one range
-    partition on token, then vectorized per-token distinct-source counting
-    (adjacency over the sorted block)."""
-    import re
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["source", "text"])
-
-    def _pair_partial(batch: pa.Table) -> pa.Table:
-        toks: list[str] = []
-        srcs: list[str] = []
-        for s, t in zip(batch.column("source").to_pylist(),
-                        batch.column("text").to_pylist()):
-            tt = pat.findall((t or "").lower())
-            toks.extend(tt)
-            srcs.extend([s or ""] * len(tt))
-        if not toks:
-            return pa.table({"token": pa.array([], pa.string()),
-                             "source": pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64())})
-        ta = np.asarray(toks, dtype=object)
-        sa = np.asarray(srcs, dtype=object)
-        o = np.lexsort((sa, ta))
-        ta, sa = ta[o], sa[o]
-        new = np.r_[True, (ta[1:] != ta[:-1]) | (sa[1:] != sa[:-1])]
-        starts = np.flatnonzero(new)
-        n = np.diff(np.r_[starts, len(ta)])
-        return pa.table(
-            {"token": pa.array(ta[starts].tolist(), pa.string()),
-             "source": pa.array(sa[starts].tolist(), pa.string()),
-             "c": pa.array(n, pa.int64())}
-        )
-
-    from dedupe_ray.stages.groupapply import sorted_group_apply
-
-    pairs = ds.map_batches(_pair_partial, batch_format="pyarrow", batch_size=None)
-
-    def _per_token(block: pa.Table) -> pa.Table:
-        empty = pa.table({"token": pa.array([], pa.string()),
-                          "n_sources": pa.array([], pa.int64()),
-                          "n_total": pa.array([], pa.int64())})
-        if block.num_rows == 0:
-            return empty
-        ta = np.asarray(block.column("token").to_pylist(), dtype=object)
-        sa = np.asarray(block.column("source").to_pylist(), dtype=object)
-        c = block.column("c").to_numpy(zero_copy_only=False)
-        o = np.lexsort((sa, ta))
-        ta, sa, c = ta[o], sa[o], c[o]
-        tstart = np.flatnonzero(np.r_[True, ta[1:] != ta[:-1]])
-        # distinct sources per token: count (token, source) adjacency starts
-        pair_new = np.r_[True, (ta[1:] != ta[:-1]) | (sa[1:] != sa[:-1])]
-        nsrc = np.add.reduceat(pair_new.astype(np.int64), tstart)
-        ntot = np.add.reduceat(c, tstart)
-        keep = nsrc >= min_sources
-        return pa.table(
-            {"token": pa.array(ta[tstart][keep].tolist(), pa.string()),
-             "n_sources": pa.array(nsrc[keep], pa.int64()),
-             "n_total": pa.array(ntot[keep], pa.int64())}
-        )
-
-    return sorted_group_apply(pairs, "token", _per_token)
 
 
 # ---------------------------------------------------------------------------
@@ -3911,160 +3493,3 @@ def media_neardup(sf_dir: str, threshold: int = 7):
         )
 
     return sigs.map_batches(_stamp, batch_format="pyarrow", batch_size=None)
-
-
-# ---------------------------------------------------------------------------
-# r4 (cont.): Count-Min frequency estimation
-# ---------------------------------------------------------------------------
-
-
-def _probe_tokens(sf_dir: str, k: int = 50) -> np.ndarray:
-    """Deterministic probe set: the k alphabetically-first distinct tokens
-    of the corpus (per-batch distinct partials; the driver merges unique
-    token sets — identical rule in the SQL oracle)."""
-    import re
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def _uniq(batch: pa.Table) -> pa.Table:
-        toks: set[str] = set()
-        for t in batch.column("text").to_pylist():
-            toks.update(pat.findall((t or "").lower()))
-        srt = sorted(toks)[:k]
-        return pa.table({"token": pa.array(srt, pa.string())})
-
-    parts = _collect(ds.map_batches(_uniq, batch_format="pyarrow", batch_size=None),
-                     pa.table({"token": pa.array([], pa.string())}))
-    return np.unique(np.asarray(parts.column("token").to_pylist(), dtype=object))[:k]
-
-
-def token_freq_exact(sf_dir: str):
-    """Exact corpus frequency of the deterministic probe-token set (the
-    alphabetically-first 50 distinct tokens) — the oracled companion the
-    Count-Min sibling is pinned against. Probe set broadcast once; one
-    streaming np.isin + bincount pass; zero-count probes kept (LEFT
-    semantics)."""
-    probes = _probe_tokens(sf_dir)
-    pref = ray.put(probes)
-    import re
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        pr = ray.get(pref)
-        toks: list[str] = []
-        for t in batch.column("text").to_pylist():
-            toks.extend(pat.findall((t or "").lower()))
-        ta = np.asarray(toks, dtype=object)
-        if len(ta):
-            pos = np.searchsorted(pr, ta)
-            pos_c = np.clip(pos, 0, len(pr) - 1)
-            hit = pr[pos_c] == ta
-            cnt = np.bincount(pos_c[hit], minlength=len(pr)).astype(np.int64)
-        else:
-            cnt = np.zeros(len(pr), np.int64)
-        return pa.table({"idx": pa.array(np.arange(len(pr)), pa.int64()),
-                         "p_n": pa.array(cnt, pa.int64())})
-
-    parts = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
-                     pa.table({"idx": pa.array([], pa.int64()),
-                               "p_n": pa.array([], pa.int64())}))
-    idx = parts.column("idx").to_numpy(zero_copy_only=False)
-    pn = parts.column("p_n").to_numpy(zero_copy_only=False)
-    total = np.zeros(len(probes), np.int64)
-    np.add.at(total, idx, pn)
-    return pa.table({"token": pa.array(probes.tolist(), pa.string()),
-                     "n": pa.array(total, pa.int64())})
-
-
-def token_freq_cms(sf_dir: str, d: int = 4, w: int = 8192):
-    """Count-Min sketch frequency estimates for the same probe set — the
-    point-query sketch that answers ANY token's frequency in O(d) from
-    d×w counters, where MG top-k answers only the heavy hitters. Per-batch
-    partials are full d×w count matrices (256 KiB) that SUM-merge — on the
-    driver here, through any tree reduce or groupby at scale (the merge
-    is a sum). Estimates are
-    deterministic for fixed seeds: ``est ≥ true`` always, overestimate
-    bounded by collision mass ~N/w per row (test-pinned against the exact
-    oracled sibling)."""
-    import re
-
-    probes = _probe_tokens(sf_dir)
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    seeds = np.uint64(0x9E3779B97F4A7C15) * np.arange(1, d + 1, dtype=np.uint64)
-
-    def _rows_of(tokens: np.ndarray) -> np.ndarray:
-        """d×len(tokens) CMS column indexes (blake2-free: mix64 of the
-        token's stable 64-bit hash xor each row seed)."""
-        import hashlib
-
-        base = np.fromiter(
-            (int.from_bytes(
-                hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
-             for t in tokens.tolist()),
-            np.uint64, count=len(tokens),
-        )
-        with np.errstate(over="ignore"):
-            return np.stack([
-                _mix64(base ^ s) % np.uint64(w) for s in seeds
-            ])
-
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        toks: list[str] = []
-        for t in batch.column("text").to_pylist():
-            toks.extend(pat.findall((t or "").lower()))
-        mat = np.zeros((d, w), np.int64)
-        if toks:
-            uniq, cnt = np.unique(np.asarray(toks, dtype=object),
-                                  return_counts=True)
-            rows = _rows_of(uniq)
-            for r in range(d):
-                np.add.at(mat[r], rows[r], cnt)
-        return pa.table({"cms": pa.array([mat.tobytes()], pa.large_binary())})
-
-    parts = _collect(ds.map_batches(_partial, batch_format="pyarrow", batch_size=None),
-                     pa.table({"cms": pa.array([], pa.large_binary())}))
-    mat = np.zeros((d, w), np.int64)
-    for b in parts.column("cms").to_pylist():
-        mat += np.frombuffer(b, np.int64).reshape(d, w)
-    rows = _rows_of(probes) if len(probes) else np.zeros((d, 0), np.int64)
-    est = mat[np.arange(d)[:, None], rows].min(axis=0) if len(probes) else \
-        np.zeros(0, np.int64)
-    return pa.table({"token": pa.array(probes.tolist(), pa.string()),
-                     "n_est": pa.array(est, pa.int64())})
-
-
-def doc_tokens_long(sf_dir: str):
-    """Explode / flat_map primitive: one output row per (doc_id, position,
-    token) — the long-form tokenization every downstream NLP table starts
-    from. Each batch emits its flattened rows directly (row counts grow
-    ~40× through the operator; the streaming executor's backpressure, not
-    driver memory, absorbs the expansion). Position is 1-based to match
-    the UNNEST-with-ordinality oracle."""
-    import re
-
-    pat = re.compile(_ASCII_TOKEN_RE_SRC)
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
-
-    def _explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        toks: list[str] = []
-        counts = np.empty(len(ids), np.int64)
-        for j, t in enumerate(batch.column("text").to_pylist()):
-            tt = pat.findall((t or "").lower())
-            counts[j] = len(tt)
-            toks.extend(tt)
-        pos = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-            np.r_[np.int64(0), np.cumsum(counts)[:-1]], counts
-        ) + 1
-        return pa.table(
-            {"doc_id": pa.array(np.repeat(ids, counts), pa.int64()),
-             "pos": pa.array(pos, pa.int64()),
-             "token": pa.array(toks, pa.string())}
-        )
-
-    return ds.map_batches(_explode, batch_format="pyarrow", batch_size=None)

@@ -1,5 +1,6 @@
 """Session-scoped Ray fixture — one Ray session for the whole pytest run —
-and the guard against hidden partial executions in engine code."""
+the session's band-index root, and the guard against hidden partial
+executions in engine code."""
 
 from __future__ import annotations
 
@@ -31,6 +32,18 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_index_root(tmp_path_factory):
+    """Keep the band indexes that ``incremental_match_docs`` builds for the
+    test corpora in this session's temporary directory, not in the shared
+    default root, where each new corpus would leave one behind."""
+    from dedupe_ray.pipelines import queries
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "DEFAULT_INDEX_ROOT", str(tmp_path_factory.mktemp("index")))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -556,44 +556,6 @@ def test_corpus_stats_planted(entrymod, tmp_path):
     _compare(mh, c.execute(o["neardup_docs_minhash_audit"]).fetchdf(), "minhash_planted")
 
 
-def test_top_tokens_mg_compression_path(entrymod, con):
-    """Force the Misra-Gries compression branch (m far below the vocabulary
-    size) and check the two-pass result still equals the exact SQL top-k —
-    i.e. the merged-summary candidate guarantee actually holds, not just the
-    no-compression fast path."""
-    from dedupe_ray.pipelines import queries as Q
-
-    got = Q.top_tokens_mg(SF_DIR, k=10, m=50).to_pandas()
-    want = con.execute(
-        "SELECT t AS token, count(*) AS n FROM documents, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS u(t) "
-        "GROUP BY t ORDER BY n DESC, token LIMIT 10"
-    ).df()
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), want.reset_index(drop=True)
-    )
-
-
-def test_top_tokens_mg_unsound_regime_falls_back_exact(entrymod, con):
-    """ADVICE r4: with m far below the per-batch distinct-token count, the
-    merged decrement error can reach the k-th largest merged count and the
-    MG candidate set is no longer provably complete. The soundness gate must
-    detect this and fall back to the shuffle-based exact top-k, so the
-    result STILL equals the SQL oracle even in the regime where the sketch
-    alone could be silently wrong."""
-    from dedupe_ray.pipelines import queries as Q
-
-    got = Q.top_tokens_mg(SF_DIR, k=10, m=3).to_pandas()
-    want = con.execute(
-        "SELECT t AS token, count(*) AS n FROM documents, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS u(t) "
-        "GROUP BY t ORDER BY n DESC, token LIMIT 10"
-    ).df()
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), want.reset_index(drop=True)
-    )
-
-
 def test_validate_docs_planted_violations(entrymod, tmp_path):
     """The shared testdata is clean (every rule would read 0), so this corpus
     plants one violation of every kind — null text, empty text, an n_chars
@@ -622,26 +584,6 @@ def test_validate_docs_planted_violations(entrymod, tmp_path):
         "bad_lang": 1, "dup_doc_id": 1,
     }
     _compare(ray_df, sql_df, "validate_docs_planted")
-
-
-def test_weighted_sample_docs_matches_bruteforce(entrymod, ray_session):
-    """The distributed partial-top-k must equal the single-pass brute force
-    over the whole table: priority = mix64(doc_id) // max(n_chars, 1),
-    k smallest (priority, doc_id)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    from dedupe_ray.pipelines.queries import _mix64, weighted_sample_docs
-
-    tbl = pq.read_table(f"{SF_DIR}/documents.parquet", columns=["doc_id", "n_chars"])
-    ids = tbl.column("doc_id").to_numpy()
-    chars = tbl.column("n_chars").to_numpy()
-    prio = _mix64(ids.astype(np.uint64)) // np.maximum(chars, 1).astype(np.uint64)
-    order = np.lexsort((ids, prio))[:64]
-    expect = set(ids[order].tolist())
-    got = weighted_sample_docs(SF_DIR)
-    assert set(got.column("doc_id").to_pylist()) == expect
-    # weight-proportionality sanity: the sampled docs skew long
-    assert got.column("n_chars").to_pandas().mean() >= chars.mean()
 
 
 def test_normalize_docs_planted_unicode(entrymod, tmp_path):
@@ -743,9 +685,8 @@ def test_multiblock_doc_oracles_sf01(entrymod, ray_session):
     the 1k single-block threshold), so the main oracle gates never exercise
     multi-block partial-merge paths for document queries. This pins a
     representative subset at sf0.1 (5000 docs → 8 blocks): driver-merge
-    top-k (weighted sample), tagged-union range partition (snapshot diff),
-    pair-partial sort (cross-source), and the two-pipeline validation
-    audit."""
+    top-k (stratified sample), tagged-union range partition (snapshot
+    diff), and the two-pipeline validation audit."""
     sf = "/root/testdata/sf0.1"
     c = duckdb.connect()
     for t in ("documents",):
@@ -753,10 +694,10 @@ def test_multiblock_doc_oracles_sf01(entrymod, ray_session):
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
         )
     qs = entrymod.queries()
-    lo = entrymod.local_oracle_sql()
-    _compare_each(("weighted_sample_docs", "snapshot_diff_docs",
-                   "cross_source_tokens", "validate_docs"),
-                  lambda n: qs[n](sf), lambda n: c.execute(lo[n]).fetchdf(),
+    oracles = {**entrymod.oracle_sql(), **entrymod.local_oracle_sql()}
+    _compare_each(("stratified_sample_docs", "snapshot_diff_docs",
+                   "validate_docs"),
+                  lambda n: qs[n](sf), lambda n: c.execute(oracles[n]).fetchdf(),
                   label=lambda n: f"{n}@sf0.1")
 
 
@@ -769,27 +710,6 @@ def test_media_neardup_recovers_planted_groups(entrymod, ray_session):
     df = df.assign(g=df.media_id // 3)
     assert df.groupby("g").cluster_id.nunique().eq(1).all()
     assert df.groupby("cluster_id").g.nunique().eq(1).all()
-
-
-def test_cms_tracks_exact_freqs(entrymod, ray_session):
-    """Count-Min invariants vs the oracled exact sibling: est ≥ true for
-    every probe (structural — counters only ever add), and the overestimate
-    stays within the d-row collision bound. A tiny-width sketch (w=64)
-    must still respect est ≥ true while actually colliding."""
-    from dedupe_ray.pipelines.queries import token_freq_cms, token_freq_exact
-
-    exact = token_freq_exact(SF_DIR).to_pandas().sort_values(
-        "token", ignore_index=True)
-    est = token_freq_cms(SF_DIR).to_pandas().sort_values(
-        "token", ignore_index=True)
-    assert list(exact.token) == list(est.token)
-    over = est.n_est.values - exact.n.values
-    assert (over >= 0).all()
-    n_total = int(exact.n.sum())
-    assert over.max() <= max(1, 4 * n_total // 8192)
-    tiny = token_freq_cms(SF_DIR, w=64).to_pandas().sort_values(
-        "token", ignore_index=True)
-    assert (tiny.n_est.values - exact.n.values >= 0).all()
 
 
 def test_all_queries_total_on_empty_corpus(entrymod, ray_session, tmp_path):
