@@ -9,7 +9,8 @@ the runner checkpoints one by one:
     1. sign         signatures_dataset   pages → + text, doc_id, simhash or
                                          minhash (one fused map_batches)
     2. band+cands   band_candidates      ×B (band_key, doc_id) rows, one sort
-                                         on band_key → (src, dst) candidates
+                    one_task_candidates  on band_key, or one task below one
+                                         bundle → (src, dst) candidates
     3. verify       verified_edges       distinct candidates, exact metric ≥
                                          threshold → (src, dst, score)
     4. cluster      cluster_edges        connected components: driver
@@ -28,8 +29,12 @@ steps 3-5 stay distributed. Every path picks canonicals with
 ``stages.clustering.cluster_lookup``.
 
 The corpus streams through map_batches stages; the only all-to-all exchange
-of corpus-sized data is the band-key sort (16-byte rows × B). Everything
-downstream operates on the candidate/duplicate subset.
+of corpus-sized data is the band-key sort (16-byte rows × B). When the band
+rows fit one bundle (``band_bundle_size``) the sort has nothing to
+co-locate: outside ``mode="distributed"`` one plain Ray task bands the
+signatures, emits the pairs and cuts the verify slice instead
+(``one_task_candidates``). Everything downstream operates on the
+candidate/duplicate subset.
 
 Equivalent reference flow: ``Duplicates`` (reference ``dedupe.go:101-123``:
 hash → VP-tree build → greedy radius scan → groups), upgraded to true
@@ -54,7 +59,8 @@ import ray.data
 from dedupe_ray.config import NearDupConfig
 from dedupe_ray.stages.banding import band_emitter
 from dedupe_ray.stages.candidates import (
-    _EMPTY_EDGES, _collect, _sig_column, candidate_edges, slice_columns, verify_candidates,
+    _EMPTY_EDGES, _EMPTY_PAIRS, _EMPTY_SLICE, _collect, _emit_pairs_block, _sig_column,
+    candidate_edges, signature_slice, slice_columns, verify_candidates,
 )
 from dedupe_ray.stages.clustering import (
     canonical_members, cluster_lookup, connected_components, id_map, union_find_local,
@@ -66,8 +72,8 @@ from dedupe_ray.stages.signatures import SignatureStage
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "signatures_dataset", "band_candidates", "verified_edges", "cluster_edges",
-    "assign_clusters", "match_edges", "neardup_stages", "near_duplicates",
+    "signatures_dataset", "band_candidates", "one_task_candidates", "verified_edges",
+    "cluster_edges", "assign_clusters", "match_edges", "neardup_stages", "near_duplicates",
 ]
 
 # output of the stamp: these columns (where the input has them), then any
@@ -178,6 +184,33 @@ def band_candidates(
         batch_size=band_bundle_size(n_rows),
     )
     return candidate_edges(banded, config.max_bucket_size).materialize()
+
+
+@ray.remote
+def _one_task(load: "Callable[[], list[pa.Table]]", config: NearDupConfig,
+              extra: tuple[str, ...]) -> tuple[pa.Table, pa.Table]:
+    # Ray can hand zero-row, zero-column blocks; a 0-row corpus has no rows
+    blocks = [b for b in load() if b.num_rows]
+    if not blocks:
+        return _EMPTY_PAIRS, _EMPTY_SLICE
+    rows = pa.concat_tables(blocks)
+    pairs = _emit_pairs_block(band_emitter(config.signature())(rows), config.max_bucket_size)
+    ids = np.unique(np.r_[pairs.column("src").to_numpy(), pairs.column("dst").to_numpy()])
+    return pairs, signature_slice(rows, ids, config, extra)
+
+
+def one_task_candidates(
+    load: "Callable[[], list[pa.Table]]", config: NearDupConfig, extra: tuple[str, ...] = ()
+) -> tuple[pa.Table, pa.Table]:
+    """Step 2 when the band rows fit one bundle: ONE plain Ray task takes
+    the signature rows ``load()`` gives (a picklable loader of the
+    ``slice_columns(config, extra)``), bands them and emits the pairs of
+    the one block with the same kernels as :func:`band_candidates` — no
+    sort — and returns (candidate pairs, the :func:`signature_slice` of
+    the docs in a pair). Emission stays off the driver, which holds only
+    what the task returns; the task is awaited here, so none outlives the
+    stage."""
+    return ray.get(_one_task.remote(load, config, extra))
 
 
 def verified_edges(
@@ -448,6 +481,7 @@ def _run_now(name: str, fn, **_) -> "pa.Table | Callable[..., ray.data.Dataset]"
 
 def neardup_stages(
     sigs: "Callable[[list[str]], ray.data.Dataset]",
+    sig_rows: "Callable[[list[str]], Callable[[], list[pa.Table]]]",
     n_sigs: int,
     config: NearDupConfig,
     stage=_run_now,
@@ -462,20 +496,27 @@ def neardup_stages(
     Each step asks the reader ``sigs(columns)`` for the signature columns
     it uses: the runner's reads just those (the ones its checkpoint has),
     ``near_duplicates``' returns its materialized blocks as they are.
+    ``sig_rows(columns)`` gives the same rows as a picklable loader of
+    tables for :func:`one_task_candidates`' task: the runner's reads the
+    checkpoint with pyarrow (``CheckpointedRun.loader``),
+    ``near_duplicates``' gets its block refs.
     ``stage(name, fn, upstream=..., extra_metrics=..., schema=...)`` runs
     each stage and returns its output as a ``pa.Table`` or as a reader
     ``columns=None -> Dataset``: :func:`_run_now` for ``near_duplicates``,
     ``CheckpointedRun.stage`` for the runner (which returns its checkpoint's
     reader for a resumed stage where ``fn`` returned a table).
 
-    The edges stage picks the path through the verify gate
-    (``verify_candidates``, which ``mode`` is passed to): ``"auto"`` takes
-    the driver path when the candidate count is ≤
-    ``config.cc_local_max_edges``. It records
-    ``path`` and ``candidates`` in ``extra_metrics`` (the runner's lineage;
-    a resumed stage fills them back from it). Driver path: verify, cluster
-    and canonical pick on the driver, driver-side tables as the edges and
-    clusters outputs, the broadcast stamp with ``stamp_batch_size``.
+    The edges stage bands in one task (:func:`one_task_candidates`) when
+    ``mode`` is not ``"distributed"`` and ``n_sigs`` fits one band bundle,
+    else with the band sort (:func:`band_candidates`) and a Ray slice pass.
+    It picks the path through the verify gate (``verify_candidates``, which
+    ``mode`` is passed to): ``"auto"`` takes the driver path when the
+    candidate count is ≤ ``config.cc_local_max_edges``. It records
+    ``path``, ``candidates`` and ``banding`` (``"one_task"`` or ``"sort"``)
+    in ``extra_metrics`` (the runner's lineage; a resumed stage fills them
+    back from it). Driver path: verify, cluster and canonical pick on the
+    driver, driver-side tables as the edges and clusters outputs, the
+    broadcast stamp with ``stamp_batch_size``.
     Distributed path: ``verified_edges`` → ``cluster_edges`` →
     ``assign_clusters``."""
     info: dict = {}
@@ -486,12 +527,20 @@ def neardup_stages(
 
     def _edges():
         nonlocal slim
-        cand = band_candidates(sigs(["doc_id", _sig_column(config)]), config, n_sigs)
         # the slice carries (warc_ts, url) for the canonical pick
         extra = ("warc_ts", "url")
-        edges, slim = verify_candidates(cand, sigs(slice_columns(config, extra)), config, mode,
-                                        extra=extra)
-        info.update(path="distributed" if slim is None else "driver", candidates=cand.count())
+        columns = slice_columns(config, extra)
+        if mode != "distributed" and n_sigs <= band_bundle_size(n_sigs):
+            banding = "one_task"
+            cand, sl = one_task_candidates(sig_rows(columns), config, extra)
+            n_cand = cand.num_rows
+        else:
+            banding = "sort"
+            cand = band_candidates(sigs(["doc_id", _sig_column(config)]), config, n_sigs)
+            sl, n_cand = sigs(columns), cand.count()
+        edges, slim = verify_candidates(cand, sl, config, mode, extra=extra)
+        info.update(path="distributed" if slim is None else "driver", candidates=n_cand,
+                    banding=banding)
         return edges
 
     edges = stage("edges", _edges, upstream=["signatures"], extra_metrics=info,
@@ -545,4 +594,5 @@ def near_duplicates(
     n_sigs = sigs.count()
     if n_sigs == 0:
         return ray.data.from_arrow(_EMPTY_OUTPUT)
-    return neardup_stages(lambda _: sigs, n_sigs, config, mode=mode, keep_columns=keep_columns)()
+    return neardup_stages(lambda _: sigs, lambda _: partial(ray.get, sigs.to_arrow_refs()),
+                          n_sigs, config, mode=mode, keep_columns=keep_columns)()

@@ -9,6 +9,7 @@ from checkpoint with per-partition lineage + metrics").
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Sequence
 
 import pyarrow as pa
@@ -46,8 +47,10 @@ def run_neardup_checkpointed(
     After signing it runs ``near_duplicates``' stage list
     (``neardup_stages``) with each stage committed as a checkpoint; the
     ``edges`` lineage records the path taken (``"driver"`` below the
-    ``cc_local_max_edges`` candidate gate, else ``"distributed"``) and the
-    candidate count, and a resumed run follows the recorded path.
+    ``cc_local_max_edges`` candidate gate, else ``"distributed"``), the
+    candidate count and the banding (``"one_task"`` when the band rows fit
+    one bundle, else ``"sort"``), and a resumed run follows the recorded
+    path.
 
     ``quarantine=True`` routes rows whose extraction produced no text to a
     ``quarantine`` checkpoint instead of signing them (drop-and-continue,
@@ -101,9 +104,11 @@ def run_neardup_checkpointed(
     # the row count from the signatures lineage sidecar (or its parquet
     # footers) sizes the band bundles — the metadata path: no materialize,
     # no double-execution of the checkpoint read (VERDICT r4 #6). ``sigs`` is
-    # the checkpoint's reader: each later stage reads only its columns. The
-    # assignment keeps the 8192-row stamp batches of the distributed path.
-    neardup_stages(sigs, run.stage_rows("signatures"), config, stage=run.stage,
-                   stamp_batch_size=8192)
+    # the checkpoint's reader: each later stage reads only its columns; a
+    # one-task edges stage reads them with pyarrow inside its task
+    # (``run.loader``). The assignment keeps the 8192-row stamp batches of
+    # the distributed path.
+    neardup_stages(sigs, partial(run.loader, "signatures"), run.stage_rows("signatures"), config,
+                   stage=run.stage, stamp_batch_size=8192)
     run.write_run_manifest()
     return run.metrics

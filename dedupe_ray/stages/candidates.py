@@ -46,6 +46,7 @@ __all__ = [
 
 _EMPTY_PAIRS = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
 _EMPTY_EDGES = _EMPTY_PAIRS.append_column("score", pa.array([], pa.float64()))
+_EMPTY_SLICE = pa.table({"doc_id": pa.array([], pa.int64())})
 
 
 def _emit_pairs_block(block: pa.Table, max_bucket_size: int) -> pa.Table:
@@ -198,27 +199,32 @@ def slice_columns(config: NearDupConfig, extra: tuple[str, ...] = ()) -> list[st
 
 
 def signature_slice(
-    signatures: "ray.data.Dataset",
+    signatures: "ray.data.Dataset | pa.Table",
     ids: np.ndarray,
     config: NearDupConfig,
     extra: tuple[str, ...] = (),
 ) -> pa.Table:
     """The signature rows of the docs ``ids``: doc_id, the signature
     column, ``text`` when a Jaro-Winkler confirm is configured, and the
-    ``extra`` columns the input has. ONE filtered ``map_batches`` pass and
-    one collect — the corpus never lands on the driver — sorted by doc_id
-    (stable), the lookup order of :func:`score_pairs`."""
+    ``extra`` columns the input has, sorted by doc_id (stable) — the lookup
+    order of :func:`score_pairs`. From a Dataset: ONE filtered
+    ``map_batches`` pass and one collect, so the corpus never lands on the
+    driver; from an already gathered ``pa.Table``: the same filter, local."""
     if len(ids) == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
-    want_ref = ray.put(np.asarray(ids))
+        return _EMPTY_SLICE
     cols = slice_columns(config, extra)
 
-    def _filter(batch: pa.Table) -> pa.Table:
-        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), ray.get(want_ref))
+    def _filter(batch: pa.Table, want: np.ndarray) -> pa.Table:
+        mask = np.isin(batch.column("doc_id").to_numpy(zero_copy_only=False), want)
         return batch.select([c for c in cols if c in batch.column_names]).filter(pa.array(mask))
 
-    tbl = _collect(signatures.map_batches(_filter, batch_format="pyarrow", batch_size=None),
-                   pa.table({"doc_id": pa.array([], pa.int64())}))
+    if isinstance(signatures, pa.Table):
+        tbl = _filter(signatures, np.asarray(ids))
+    else:
+        want_ref = ray.put(np.asarray(ids))
+        tbl = _collect(signatures.map_batches(lambda b: _filter(b, ray.get(want_ref)),
+                                              batch_format="pyarrow", batch_size=None),
+                       _EMPTY_SLICE)
     order = np.argsort(tbl.column("doc_id").to_numpy(zero_copy_only=False), kind="stable")
     return tbl.take(pa.array(order, pa.int64()))
 
@@ -297,7 +303,7 @@ def _kept(src: np.ndarray, dst: np.ndarray, keep: np.ndarray, score: np.ndarray)
 
 def verify_edges(
     edges: "ray.data.Dataset",
-    signatures: "ray.data.Dataset",
+    signatures: "ray.data.Dataset | pa.Table",
     config: NearDupConfig,
 ) -> "ray.data.Dataset":
     """Exact verification of (distinct) candidate edges → (src, dst, score).
@@ -322,34 +328,36 @@ def verify_edges(
 
 
 def verify_candidates(
-    candidates: "ray.data.Dataset",
-    signatures: "ray.data.Dataset",
+    candidates: "ray.data.Dataset | pa.Table",
+    signatures: "ray.data.Dataset | pa.Table",
     config: NearDupConfig,
     mode: str = "auto",
     extra: tuple[str, ...] = (),
 ) -> "tuple[pa.Table | ray.data.Dataset, pa.Table | None]":
-    """THE verify gate of the near-dup family: materialized candidate
-    (src, dst) pairs → distinct verified edges (src, dst, score).
+    """THE verify gate of the near-dup family: materialized (or gathered)
+    candidate (src, dst) pairs → distinct verified edges (src, dst, score).
 
     ``mode="auto"`` takes the driver path when the candidate count is ≤
     ``config.cc_local_max_edges``: the candidates collected and made
-    distinct, one :func:`signature_slice` pass (with ``extra`` columns),
+    distinct, one :func:`signature_slice` (with ``extra`` columns),
     :func:`score_pairs` → (edges as a ``pa.Table``, the slice).
     ``"distributed"``: one global :func:`dedupe_edges` sort, then
     :func:`verify_edges` → (materialized Dataset, None)."""
+    gathered = isinstance(candidates, pa.Table)
     path = mode
     if mode == "auto":
-        n_cand = candidates.count()
+        n_cand = candidates.num_rows if gathered else candidates.count()
         path = "driver" if n_cand <= config.cc_local_max_edges else "distributed"
         logger.info("verify gate: %d candidates → %s path", n_cand, path)
     if path == "distributed":
+        if gathered:
+            candidates = ray.data.from_arrow(candidates)
         distinct = dedupe_edges(candidates).materialize()
         return verify_edges(distinct, signatures, config).materialize(), None
-    pairs = _collect(candidates, _EMPTY_PAIRS)
+    pairs = candidates if gathered else _collect(candidates, _EMPTY_PAIRS)
     src = pairs.column("src").to_numpy(zero_copy_only=False)
     dst = pairs.column("dst").to_numpy(zero_copy_only=False)
     if len(src):
         src, dst = _distinct_pairs(src, dst)
     sl = signature_slice(signatures, np.unique(np.r_[src, dst]), config, extra)
     return _kept(src, dst, *score_pairs(src, dst, sl, config)), sl
-

@@ -19,8 +19,9 @@ matching _LINEAGE.json (same config hash + same upstream fingerprint)
 already exists. Writes go to ``<stage>.tmp-<pid>`` and are renamed into
 place, so a crashed writer can never be mistaken for a finished stage.
 
-Every read of a checkpoint goes through :func:`read_stage`: the columns its
-consumer uses, in blocks sized from the footers.
+Every read of a checkpoint goes through :func:`read_stage` (the columns its
+consumer uses, in blocks sized from the footers) or, inside a Ray task that
+takes a small stage whole, through :func:`stage_loader` (the same columns).
 """
 
 from __future__ import annotations
@@ -44,24 +45,46 @@ from dedupe_ray.sources.pages import _parquet_blocks, parquet_row_count
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["CheckpointedRun", "read_stage"]
+__all__ = ["CheckpointedRun", "read_stage", "stage_loader"]
 
 _LINEAGE = "_LINEAGE.json"
 
 
+def _stage_files(stage_dir: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(stage_dir, "**", "*.parquet"), recursive=True))
+
+
+def _stage_columns(files: list[str], columns: list[str] | None) -> list[str] | None:
+    """Those of ``columns`` the checkpoint has (from a footer schema — no
+    execution); None (all columns) when None or when it has none of them."""
+    if columns is None:
+        return None
+    have = set(pq.read_schema(files[0]).names) if files else set()
+    return [c for c in columns if c in have] or None
+
+
 def read_stage(stage_dir: str, columns: list[str] | None = None) -> "ray.data.Dataset":
     """THE read of a committed stage directory. ``columns``: only those of
-    them the checkpoint has (from a footer schema — no execution; all
-    columns when None or when it has none of them). Ray 2.49 does not push
-    a later projection into the read, so a consumer names its columns
-    here, and the block count comes from the footer row counts
-    (``sources._parquet_blocks``) instead of Ray's default split."""
-    if columns is not None:
-        files = sorted(glob.glob(os.path.join(stage_dir, "**", "*.parquet"), recursive=True))
-        have = set(pq.read_schema(files[0]).names) if files else set()
-        columns = [c for c in columns if c in have] or None
+    them the checkpoint has. Ray 2.49 does not push a later projection into
+    the read, so a consumer names its columns here, and the block count
+    comes from the footer row counts (``sources._parquet_blocks``) instead
+    of Ray's default split."""
+    columns = _stage_columns(_stage_files(stage_dir), columns)
     return ray.data.read_parquet(stage_dir, columns=columns,
                                  override_num_blocks=_parquet_blocks([stage_dir]))
+
+
+def _read_files(files: list[str], columns: list[str] | None) -> list[pa.Table]:
+    return [pq.read_table(f, columns=columns).replace_schema_metadata(None) for f in files]
+
+
+def stage_loader(stage_dir: str, columns: list[str] | None = None) -> Callable[[], list[pa.Table]]:
+    """The columns :func:`read_stage` reads, as a picklable loader that
+    reads the stage's files with pyarrow where it is called — one table per
+    file, schema metadata stripped. A Ray task that takes a small stage
+    whole calls it: no Ray Data execution."""
+    files = _stage_files(stage_dir)
+    return partial(_read_files, files, _stage_columns(files, columns))
 
 
 class CheckpointedRun:
@@ -182,6 +205,10 @@ class CheckpointedRun:
     def read(self, name: str, columns: list[str] | None = None) -> "ray.data.Dataset":
         """A finished stage's checkpoint through :func:`read_stage`."""
         return read_stage(self._stage_dir(name), columns)
+
+    def loader(self, name: str, columns: list[str] | None = None) -> Callable[[], list[pa.Table]]:
+        """A finished stage's checkpoint through :func:`stage_loader`."""
+        return stage_loader(self._stage_dir(name), columns)
 
     def write_run_manifest(self) -> None:
         with open(os.path.join(self.root, "_RUN.json"), "w") as f:

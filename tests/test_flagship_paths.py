@@ -182,3 +182,70 @@ def test_dup_cluster_rows_splits_the_assignment(ray_session, tmp_path, members):
     got = sorted(_table(rows, ["doc_id"]).column("doc_id").to_pylist())
     assert n_dup == 2
     assert got == ([1, 2, 4, 5] if members else [3])
+
+
+def _hot_bucket_pages() -> pa.Table:
+    """The 300-page fixture plus 20 copies of one page under new urls: every
+    band bucket of the copies holds 21 members, over a cap of 8."""
+    t = _pages(300, null_warc_ts=False)
+    copies = t.take(pa.array([0] * 20))
+    urls = pa.array([f"https://copy-{i:02d}.example/p" for i in range(20)], pa.string())
+    return pa.concat_tables([t, copies.set_column(t.schema.get_field_index("url"), "url", urls)])
+
+
+_PATH_CONFIGS = {
+    "minhash": {},
+    "simhash": {"algo": "simhash"},
+    "jaro_winkler": {"jaro_winkler_min": 0.93},
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PATH_CONFIGS))
+@pytest.mark.parametrize("corpus", ["fixture", "hot_bucket"])
+def test_one_task_sort_and_distributed_paths_agree(ray_session, monkeypatch, corpus, config):
+    """The one-task ``edges`` stage (auto, the band rows fit one bundle), the
+    band sort with the driver verify (``band_bundle_size`` patched small, as
+    on corpora above one bundle) and ``mode="distributed"`` give the same
+    edges and the same assignment, salting included."""
+    from functools import partial
+
+    import ray
+    import ray.data
+
+    from dedupe_ray.pipelines import neardup
+    from dedupe_ray.stages.banding import band_emitter
+
+    hot = corpus == "hot_bucket"
+    cfg = NearDupConfig(**_PATH_CONFIGS[config], **({"max_bucket_size": 8} if hot else {}))
+    pages = _hot_bucket_pages() if hot else _pages(300, null_warc_ts=False)
+    sigs = neardup.signatures_dataset(ray.data.from_arrow(pages), cfg).materialize()
+    n_sigs = sigs.count()
+    if hot:
+        band = band_emitter(cfg.signature())(pa.concat_tables(ray.get(sigs.to_arrow_refs())))
+        assert pc.max(pc.value_counts(band.column("band_key")).field("counts")).as_py() > 8
+
+    def run(mode: str) -> tuple[str, pa.Table, pa.Table]:
+        seen = {}
+
+        def stage(name, fn, extra_metrics=None, **_):
+            out = fn()
+            if name == "edges":
+                seen["banding"] = extra_metrics["banding"]
+                edge_cols = ["src", "dst", "score"]
+                seen["edges"] = (out.sort_by([(c, "ascending") for c in edge_cols])
+                                 if isinstance(out, pa.Table) else _table(out, edge_cols))
+            return out if isinstance(out, pa.Table) else lambda columns=None: out
+
+        assignment = neardup.neardup_stages(
+            lambda _: sigs, lambda _: partial(ray.get, sigs.to_arrow_refs()), n_sigs, cfg,
+            stage=stage, mode=mode)()
+        return seen["banding"], seen["edges"], _table(assignment, neardup._OUT_COLUMNS)
+
+    one_task = run("auto")
+    distributed = run("distributed")
+    monkeypatch.setattr(neardup, "band_bundle_size", lambda n_rows: 64)
+    sort = run("auto")
+    assert (one_task[0], sort[0], distributed[0]) == ("one_task", "sort", "sort")
+    assert one_task[1].num_rows > 0 and one_task[2].num_rows == n_sigs
+    assert sort[1].equals(one_task[1]) and distributed[1].equals(one_task[1])
+    assert sort[2].equals(one_task[2]) and distributed[2].equals(one_task[2])

@@ -45,8 +45,11 @@ def test_runner_records_the_path_both_sides_of_the_gate(ray_session, pages_parqu
         m = run_neardup_checkpointed([pages_parquet], out, cfg)
         assert m["edges"]["path"] == name
         assert m["edges"]["candidates"] > 0
+        # 300 signatures fit one band bundle on both sides of the gate
+        assert m["edges"]["banding"] == "one_task"
         with open(os.path.join(out, "_RUN.json")) as f:
-            assert json.load(f)["stages"]["edges"]["path"] == name
+            edges = json.load(f)["stages"]["edges"]
+        assert (edges["path"], edges["banding"]) == (name, "one_task")
         got[name] = _assignment(out)
     assert got["driver"].num_rows == 300
     assert got["driver"].equals(got["distributed"])
@@ -56,8 +59,9 @@ def test_runner_records_the_path_both_sides_of_the_gate(ray_session, pages_parqu
 def test_resume_at_every_stage_boundary(ray_session, pages_parquet, tmp_path, monkeypatch, gate):
     """Delete the tail of the stage list, rerun: the assignment is the
     uninterrupted run's. A resumed ``edges`` stage follows its recorded path
-    without banding again; the driver path then refetches the canonical
-    pick's members from the signatures checkpoint."""
+    without banding again, in one task or with the band sort; the driver
+    path then refetches the canonical pick's members from the signatures
+    checkpoint."""
     from dedupe_ray.pipelines import neardup
     from dedupe_ray.pipelines.runner import run_neardup_checkpointed
 
@@ -67,61 +71,110 @@ def test_resume_at_every_stage_boundary(ray_session, pages_parquet, tmp_path, mo
     assert path == ("driver" if gate is None else "distributed")
     want = _assignment(out)
 
-    real_band_candidates = neardup.band_candidates
+    banders = ("band_candidates", "one_task_candidates")
+    real = {name: getattr(neardup, name) for name in banders}
+
+    def _no_banding(*a, **k):
+        raise AssertionError("resumed edges stage banded again")
+
     for n_deleted in (1, 2, 3):
         deleted = STAGES[-n_deleted:]
         for st in deleted:
             shutil.rmtree(os.path.join(out, st))
-        if "edges" not in deleted:
-            def _no_banding(*a, **k):
-                raise AssertionError("resumed edges stage banded again")
-            monkeypatch.setattr(neardup, "band_candidates", _no_banding)
-        else:
-            monkeypatch.setattr(neardup, "band_candidates", real_band_candidates)
+        for name in banders:
+            monkeypatch.setattr(neardup, name, real[name] if "edges" in deleted else _no_banding)
         m = run_neardup_checkpointed([pages_parquet], out, cfg)
         for st in STAGES:
             assert bool(m[st].get("resumed")) == (st not in deleted), (deleted, st)
         assert _assignment(out).equals(want), deleted
         with open(os.path.join(out, "edges", "_LINEAGE.json")) as f:
-            assert json.load(f)["path"] == path
+            lineage = json.load(f)
+        assert (lineage["path"], lineage["banding"]) == (path, "one_task")
 
 
 def test_signature_reads_name_their_columns(ray_session, pages_parquet, tmp_path, monkeypatch):
-    """Every read of the signatures checkpoint names its columns: ``cli
-    dedup`` never reads the extracted ``text``; with a Jaro-Winkler confirm
-    only the verify slice reads it, and the run still equals
-    ``near_duplicates``' driver path."""
+    """Every read of the signatures checkpoint names its columns — the one
+    Ray read of the stamp and the pyarrow read of the one-task ``edges``
+    stage: ``cli dedup`` never reads the extracted ``text``; with a
+    Jaro-Winkler confirm only the one-task read, which cuts the verify
+    slice, reads it, and the run still equals ``near_duplicates``' driver
+    path."""
     import ray.data
 
     from dedupe_ray.cli import main
     from dedupe_ray.pipelines.neardup import near_duplicates
     from dedupe_ray.pipelines.runner import run_neardup_checkpointed
     from dedupe_ray.sources import read_pages
+    from dedupe_ray.state import checkpoint
 
-    real_read, reads = ray.data.read_parquet, []
+    real_read, real_loader, reads = ray.data.read_parquet, checkpoint.stage_loader, []
 
     def _spy(paths, *a, **k):
-        reads.append((str(paths), k.get("columns")))
+        reads.append(("ray", str(paths), k.get("columns")))
         return real_read(paths, *a, **k)
 
+    def _loader_spy(stage_dir, columns=None):
+        loader = real_loader(stage_dir, columns)
+        reads.append(("pyarrow", stage_dir, loader.args[1]))  # the columns it reads
+        return loader
+
     def signature_reads() -> list:
-        got = [cols for p, cols in reads if os.path.basename(p) == "signatures"]
+        got = [(how, cols) for how, p, cols in reads if os.path.basename(p) == "signatures"]
         reads.clear()
         return got
 
     monkeypatch.setattr(ray.data, "read_parquet", _spy)
+    monkeypatch.setattr(checkpoint, "stage_loader", _loader_spy)
     assert main(["dedup", "--input", pages_parquet, "--output", str(tmp_path / "cli")]) == 0
     got = signature_reads()
-    assert len(got) == 3 and all(c is not None and "text" not in c for c in got), got
+    assert sorted(how for how, _ in got) == ["pyarrow", "ray"], got
+    assert all(c is not None and "text" not in c for _, c in got), got
 
     cfg = NearDupConfig(jaro_winkler_min=0.93)
     out = str(tmp_path / "jw")
     run_neardup_checkpointed([pages_parquet], out, cfg)
     got = signature_reads()
-    assert len(got) == 3 and all(c is not None for c in got), got
-    assert [c for c in got if "text" in c] == [["doc_id", "minhash", "text", "warc_ts", "url"]]
+    assert sorted(how for how, _ in got) == ["pyarrow", "ray"], got
+    assert all(c is not None for _, c in got), got
+    assert [(how, c) for how, c in got if "text" in c] == [
+        ("pyarrow", ["doc_id", "minhash", "text", "warc_ts", "url"])]
     want = _rows(near_duplicates(read_pages([pages_parquet]), cfg, mode="driver"))
     assert _assignment(out).equals(want.sort_by([("doc_id", "ascending"), ("url", "ascending")]))
+
+
+def test_zero_row_corpus_commits_every_stage(ray_session, tmp_path):
+    """A 0-row pages file gives 0-row ``signatures``, ``edges``,
+    ``clusters`` and ``assignment`` checkpoints, and ``near_duplicates``
+    an empty result. The one-task ``edges`` stage skips empty and
+    zero-column blocks, which Ray can hand it."""
+    import ray.data
+
+    from dedupe_ray.fixtures.pages import PAGES_SCHEMA
+    from dedupe_ray.pipelines.neardup import near_duplicates, one_task_candidates
+    from dedupe_ray.pipelines.runner import run_neardup_checkpointed
+
+    src = str(tmp_path / "pages.parquet")
+    pq.write_table(PAGES_SCHEMA.empty_table(), src)
+    out = str(tmp_path / "run")
+    m = run_neardup_checkpointed([src], out, NearDupConfig())
+    assert [m[st]["rows"] for st in STAGES] == [0, 0, 0, 0]
+    assert m["edges"]["path"] == "driver"
+    tables = {st: pq.read_table(os.path.join(out, st)) for st in STAGES}
+    assert all(t.num_rows == 0 for t in tables.values())
+    assert tables["edges"].column_names == ["src", "dst", "score"]
+    assert tables["clusters"].column_names == ["doc_id", "cluster_id", "is_canonical"]
+    assert tables["assignment"].column_names == [
+        "url", "warc_ts", "lang", "doc_id", "cluster_id", "is_canonical"]
+    empty = ray.data.from_arrow(PAGES_SCHEMA.empty_table())
+    assert near_duplicates(empty).count() == 0
+
+    sigs = _synthetic_signatures("minhash", 40)
+    cfg = NearDupConfig()
+    pairs, sl = one_task_candidates(lambda: [sigs], cfg)
+    assert pairs.num_rows > 0
+    got = one_task_candidates(lambda: [pa.table({}), sigs.slice(0, 0), sigs], cfg)
+    assert got[0].equals(pairs) and got[1].equals(sl)
+    assert [t.num_rows for t in one_task_candidates(lambda: [pa.table({})], cfg)] == [0, 0]
 
 
 def test_recomputed_stage_recomputes_its_downstream(ray_session, pages_parquet, tmp_path):
